@@ -23,7 +23,7 @@ from .graph_core import (
     edge_connectivity_at_least,
     is_connected,
 )
-from .oracles import AugmentationInstance, exact_kcap, exact_sndp
+from .oracles import KCAP_MAX_LINKS, AugmentationInstance, exact_kcap, exact_sndp
 from .sndp_coreset import Requirements
 from .spanner_stream import SpannerState
 from .weightbands import as_fraction
@@ -156,7 +156,7 @@ def kcap_link_arrival(
     details["cycle_weight"] = cycle_weight
     oracle_weight = None
     if with_oracle:
-        if base_edges is not None and len(links) <= 22:
+        if base_edges is not None and len(links) <= KCAP_MAX_LINKS:
             try:
                 _, oracle_weight = exact_kcap(
                     AugmentationInstance(n=n, k=k, base=base_edges, links=links)
@@ -217,7 +217,8 @@ def kcap_fully_streaming(
 
     Base edges feed a k-forest certificate, links feed a spanner whose
     stretch parameter is tightened to eps/(2t-1); the finalizer solves the
-    augmentation exactly on certificate + stored links.
+    augmentation exactly on certificate + stored links.  A base that is not
+    (k-1)-edge-connected raises ValueError.
     """
     cert = ForestStack(n, k)
     spanner = SpannerState(n, t, as_fraction(epsilon) / (2 * t - 1))
@@ -237,9 +238,6 @@ def kcap_fully_streaming(
             n=n, k=k, base=cert.edges(), links=spanner.edges()
         )
         chosen, weight = exact_kcap(instance)
-    except ValueError as exc:
-        details["reason"] = str(exc)
-        return PipelineReport([], 0, peaks, False, details=details)
     except Infeasible as exc:
         details["reason"] = str(exc)
         return PipelineReport([], 0, peaks, False, details=details)
@@ -443,7 +441,7 @@ def kecss(
             )
         picked = [back[cl.arrival] for cl in cycle_links if cl.arrival in back]
         details["pass_weights"][f"pass_{level}"] = sum(e.w for e in picked)
-        if with_oracle and len(remaining) <= 22:
+        if with_oracle and len(remaining) <= KCAP_MAX_LINKS:
             try:
                 _, ow = exact_kcap(
                     AugmentationInstance(n=n, k=level, base=base, links=remaining)

@@ -8,6 +8,16 @@ forest.  An arriving edge must first beat a hop-count test against its own
 band; stored buckets are then re-certified against the contraction of all
 lighter same-parity buckets, which keeps the store near-linear while the
 even/odd split keeps adjacent buckets from erasing each other's detail.
+
+Between inserts every stored bucket is a fixed point of the greedy
+keep/delete pass against its parity-prefix contraction: re-running the
+pass deletes nothing.  An accepted edge e therefore re-checks only what it
+can change in its own bucket: e itself, the one stored edge on e's
+supernode pair, and the later edges of e's band that lie within 2t-2 hops
+of e's ends.  The contractions are kept per bucket and only grow, since a
+deleted edge is always parallel to kept material.  Higher buckets whose
+contraction e changes, and the whole store after a zero-weight edge, still
+get the full pass.
 """
 
 from __future__ import annotations
@@ -47,6 +57,21 @@ def _hops_at_most(adj: dict, s: int, g: int, limit: int) -> bool:
     return False
 
 
+def _hop_dists(adj: dict, s: int, limit: int) -> dict[int, int]:
+    """Hop distance from s to every node within limit hops."""
+    dist = {s: 0}
+    frontier = [s]
+    for d in range(1, limit + 1):
+        nxt = []
+        for x in frontier:
+            for y in adj.get(x, ()):
+                if y not in dist:
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
 class SpannerState:
     """Streaming store whose kept edges approximate all pairwise distances.
 
@@ -73,6 +98,11 @@ class SpannerState:
         self._zero_uf = UnionFind(n)
         self._zero: list[WeightedEdge] = []
         self._bands_kept: dict[int, list[WeightedEdge]] = {}
+        # _closure[k] joins the zero edges and every edge ever accepted into
+        # a bucket of k's parity up to k.  Deleted edges are parallel to kept
+        # material, so this is the contraction of the stored edges, and it
+        # only ever grows.
+        self._closure: dict[int, UnionFind] = {}
         self._stored = 0
         self._peak = 0
 
@@ -122,20 +152,14 @@ class SpannerState:
             out.extend(self._bands_kept.get(j, ()))
         return out
 
-    def _parity_prefix_uf(self, parity: int, k: int) -> UnionFind:
-        uf = UnionFind(self.n)
-        for e in self._zero:
-            uf.union(e.u, e.v)
-        for kk in self._nonempty_buckets(parity):
-            if kk >= k:
-                break
-            for e in self._bucket_edges(kk):
-                uf.union(e.u, e.v)
-        return uf
+    def _prefix_uf(self, parity: int, k: int) -> UnionFind:
+        """Zero edges and same-parity buckets below k; read it, never join."""
+        below = [kk for kk in self._closure if kk % 2 == parity and kk < k]
+        return self._closure[max(below)] if below else self._zero_uf
 
     def parity_prefix_partition(self, parity: int, k: int) -> Partition:
         """Contraction the bucket-k re-certification works against."""
-        return Partition.from_union_find(self._parity_prefix_uf(parity, k))
+        return Partition.from_union_find(self._prefix_uf(parity, k))
 
     # -- insertion -------------------------------------------------------
 
@@ -150,6 +174,8 @@ class SpannerState:
             if self._zero_uf.same(e.u, e.v):
                 return False, [e]
             self._zero_uf.union(e.u, e.v)
+            for uf in self._closure.values():
+                uf.union(e.u, e.v)
             self._zero.append(e)
             self._bump()
             # A zero edge merges supernodes under every bucket of both
@@ -208,45 +234,105 @@ class SpannerState:
             kept_pairs.add(pair)
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
+        return self._drop(deleted)
+
+    def _recert_inserted(
+        self, k0: int, e: WeightedEdge, prefix: UnionFind
+    ) -> list[WeightedEdge]:
+        """_recert_bucket(k0, prefix) right after e joined bucket k0.
+
+        Bucket k0 was a greedy fixed point before e arrived, so the pass
+        keeps every edge that sorts before e and can only change through
+        e.  Either e falls to one of the three tests, alone, or e stays
+        and displaces the one later bucket edge on its supernode pair, if
+        any, and later edges of its own band whose short path runs through
+        e.  Those are hop-tested only when their supernodes lie close
+        enough to e's ends in the whole band; the filter never skips an
+        edge the full pass would delete.
+        """
+        label = prefix.labels()
+        a, b = label[e.u], label[e.v]
+        if a == b:
+            return self._drop([e])
+        pair = (a, b) if a < b else (b, a)
+        twin = None
+        for x in self._bucket_edges(k0):
+            if x is not e:
+                xa, xb = label[x.u], label[x.v]
+                if ((xa, xb) if xa < xb else (xb, xa)) == pair:
+                    # Stored pairs are distinct, so there is at most one.
+                    twin = x
+                    break
+        if twin is not None and _cert_key(twin) < _cert_key(e):
+            return self._drop([e])
+        band = sorted(self._bands_kept[self._bands.index(e.w)], key=_cert_key)
+        ends = [(label[x.u], label[x.v]) for x in band]
+        at = next(i for i, x in enumerate(band) if x is e)
+        adj: dict[int, list[int]] = {}
+        for xa, xb in ends[:at]:
+            adj.setdefault(xa, []).append(xb)
+            adj.setdefault(xb, []).append(xa)
+        limit = self._hop_limit
+        if _hops_at_most(adj, a, b, limit):
+            return self._drop([e])
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+        deleted = [] if twin is None else [twin]
+        if limit > 1 and at + 1 < len(band):
+            # A path through e of at most 2t-1 hops runs ax..a, e, b..bx or
+            # ax..b, e, a..bx, so each side is within 2t-2 hops in the band.
+            whole: dict[int, list[int]] = {}
+            for xa, xb in ends:
+                whole.setdefault(xa, []).append(xb)
+                whole.setdefault(xb, []).append(xa)
+            from_a = _hop_dists(whole, a, limit - 1)
+            from_b = _hop_dists(whole, b, limit - 1)
+            for x, (xa, xb) in zip(band[at + 1 :], ends[at + 1 :]):
+                if x is twin:
+                    continue
+                via = min(
+                    from_a.get(xa, limit) + from_b.get(xb, limit),
+                    from_b.get(xa, limit) + from_a.get(xb, limit),
+                )
+                if via < limit and _hops_at_most(adj, xa, xb, limit):
+                    deleted.append(x)
+                    continue
+                adj.setdefault(xa, []).append(xb)
+                adj.setdefault(xb, []).append(xa)
+        deleted.sort(key=_cert_key)
+        return self._drop(deleted)
+
+    def _drop(self, deleted: list[WeightedEdge]) -> list[WeightedEdge]:
+        """Remove re-certification deletions from the store; returns them."""
         if deleted:
-            gone = set(deleted)
+            gone = {id(d) for d in deleted}
             for j in {self._bands.index(d.w) for d in deleted}:
-                self._bands_kept[j] = [x for x in self._bands_kept[j] if x not in gone]
+                self._bands_kept[j] = [
+                    x for x in self._bands_kept[j] if id(x) not in gone
+                ]
             self._stored -= len(deleted)
         return deleted
 
     def _recert_from(self, k0: int, e: WeightedEdge) -> list[WeightedEdge]:
         parity = k0 % 2
-        prefix = self._parity_prefix_uf(parity, k0)
-        evicted = self._recert_bucket(k0, prefix)
-        higher = [k for k in self._nonempty_buckets(parity) if k > k0]
-        if e in set(evicted) or not higher:
-            return evicted
-        with_e = prefix
-        without_e = prefix.copy()
-        for edge in self._bucket_edges(k0):
-            with_e.union(edge.u, edge.v)
-            if edge != e:
-                without_e.union(edge.u, edge.v)
-        for kk in higher:
-            if without_e.same(e.u, e.v):
-                # The new edge no longer changes the contraction at this
-                # level, so higher buckets keep their certificates.
+        prefix = self._prefix_uf(parity, k0)
+        evicted = self._recert_inserted(k0, e, prefix)
+        if k0 not in self._closure:
+            self._closure[k0] = prefix.copy()
+        levels = sorted(kk for kk in self._closure if kk % 2 == parity and kk >= k0)
+        for below, kk in zip(levels, levels[1:] + [None]):
+            if not self._closure[below].union(e.u, e.v):
+                # e's ends were joined already, here and at every level
+                # above, so higher buckets keep their certificates.  This
+                # is always the case when e itself was evicted.
                 break
-            evicted.extend(self._recert_bucket(kk, with_e))
-            for edge in self._bucket_edges(kk):
-                with_e.union(edge.u, edge.v)
-                without_e.union(edge.u, edge.v)
+            if kk is not None:
+                evicted.extend(self._recert_bucket(kk, self._closure[below]))
         return evicted
 
     def _recert_all(self) -> list[WeightedEdge]:
         evicted = []
         for parity in (0, 1):
-            uf = UnionFind(self.n)
-            for e in self._zero:
-                uf.union(e.u, e.v)
             for kk in self._nonempty_buckets(parity):
-                evicted.extend(self._recert_bucket(kk, uf))
-                for e in self._bucket_edges(kk):
-                    uf.union(e.u, e.v)
+                evicted.extend(self._recert_bucket(kk, self._prefix_uf(parity, kk)))
         return evicted

@@ -350,6 +350,20 @@ def test_cli_invalid_instance_exits_four(capsys):
     assert "invalid instance" in err
 
 
+def test_cli_underconnected_base_exits_four_in_both_kcap_commands(tmp_path, capsys):
+    # a path is only one-edge-connected, so it is no base for k=3
+    stream = tmp_path / "path_base.txt"
+    stream.write_text("header n=4 k=3\nE 0 1 1\nE 1 2 1\nE 2 3 1\nL 0 3 1\nL 0 2 1\n")
+    for argv in (
+        ["kcap-link", str(stream), "--epsilon", "0.5"],
+        ["kcap-full", str(stream), "--t", "2", "--epsilon", "0.5"],
+    ):
+        code, out, err = _run(argv, capsys)
+        assert code == 4, argv
+        assert out == ""
+        assert "invalid instance" in err
+
+
 def test_cli_reports_are_deterministic(capsys):
     argv = [
         "kcap-full",

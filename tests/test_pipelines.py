@@ -274,13 +274,12 @@ def test_fully_streaming_without_links_reports_infeasible():
 
 
 def test_fully_streaming_underconnected_base_reports_cleanly():
+    # a base below k-1 edge-connectivity is a violated precondition, not an
+    # infeasible instance, exactly as in kcap_link_arrival
     base = _edges([(0, 1, 1), (1, 2, 1)])
     links = [WeightedEdge(0, 2, 1, 5)]
-    report = kcap_fully_streaming(
-        _events(base, links), 4, 3, t=2, epsilon=Fraction(1, 2)
-    )
-    assert not report.feasible
-    assert "reason" in report.details
+    with pytest.raises(ValueError):
+        kcap_fully_streaming(_events(base, links), 4, 3, t=2, epsilon=Fraction(1, 2))
 
 
 # -- tree augmentation with terminals --------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import support
 from streamaug import SpannerState, WeightedEdge
+from streamaug.graph_core import UnionFind
 
 HALF = Fraction(1, 2)
 
@@ -267,3 +268,120 @@ def test_peak_within_factor_two_under_weight_scaling():
         peaks.append(state.peak_stored)
     small, big = peaks
     assert max(small, big) <= 2 * min(small, big)
+
+
+def test_kept_edge_evicts_later_band_edge_through_a_contraction():
+    # the zero edge merges 3 and 4 into one supernode S.  No raw path of
+    # at most 3 hops joins 0 and 4, so (0, 4) passes its distance test; on
+    # supernodes it closes the 4-cycle 0-1-2-S, and the heavier (2, 3) then
+    # has a 3-hop detour through it
+    state = SpannerState(5, 2, HALF)
+    _stream(state, [(3, 4, 0), (0, 1, 12), (1, 2, 13), (2, 3, 15)])
+    accepted, evicted = state.insert(WeightedEdge(0, 4, 14, 4))
+    assert accepted
+    assert evicted == [WeightedEdge(2, 3, 15, 3)]
+
+
+def test_bucket_filled_late_contracts_lighter_buckets():
+    # n=4, eps=1: buckets are five bands of 2 wide, so weights 1, 1024 and
+    # 2^20 land in the even buckets 0, 2 and 4.  Bucket 2 gets its first
+    # edge after bucket 4 has one; bucket 4 must still see 0 and 1 merged
+    # by bucket 0, which makes (0, 3) parallel to the stored (1, 2)
+    state = SpannerState(4, 1, Fraction(1))
+    _stream(state, [(0, 1, 1), (1, 2, 2**20), (2, 3, 1024)])
+    heavy = WeightedEdge(0, 3, 2**20 + 1, 3)
+    assert [state.bucket_of_band(state.band_of_weight(w)) for w in (1, 1024, heavy.w)] == [0, 2, 4]
+    accepted, evicted = state.insert(heavy)
+    assert accepted
+    assert evicted == [heavy]
+
+
+# -- incremental re-certification against the full pass ----------------------
+
+
+class _FullPassSpanner(SpannerState):
+    """Reference re-certification that the incremental path must match.
+
+    Every insert rebuilds the parity-prefix contraction from the stored
+    edges and re-runs the greedy pass over the whole bucket of the new edge,
+    then over each higher bucket until the contraction stops changing.
+    """
+
+    def _prefix_uf(self, parity, k):
+        uf = UnionFind(self.n)
+        for e in self.zero_edges():
+            uf.union(e.u, e.v)
+        for j in self.band_indices():
+            kk = self.bucket_of_band(j)
+            if kk < k and kk % 2 == parity:
+                for e in self.band_edges(j):
+                    uf.union(e.u, e.v)
+        return uf
+
+    def _recert_from(self, k0, e):
+        parity = k0 % 2
+        prefix = self._prefix_uf(parity, k0)
+        evicted = self._recert_bucket(k0, prefix)
+        higher = [k for k in self._nonempty_buckets(parity) if k > k0]
+        if e in evicted or not higher:
+            return evicted
+        with_e, without_e = prefix, prefix.copy()
+        for edge in self._bucket_edges(k0):
+            with_e.union(edge.u, edge.v)
+            if edge != e:
+                without_e.union(edge.u, edge.v)
+        for kk in higher:
+            if without_e.same(e.u, e.v):
+                break
+            evicted.extend(self._recert_bucket(kk, with_e))
+            for edge in self._bucket_edges(kk):
+                with_e.union(edge.u, edge.v)
+                without_e.union(edge.u, edge.v)
+        return evicted
+
+
+def _assert_same_as_full_pass(n, t, eps, triples):
+    fast, full = SpannerState(n, t, eps), _FullPassSpanner(n, t, eps)
+    for i, (u, v, w) in enumerate(triples):
+        e = WeightedEdge(u, v, w, i)
+        assert fast.insert(e) == full.insert(e), (n, t, eps, i)
+        assert fast.edges() == full.edges()
+        assert fast.stored_count == full.stored_count
+        assert fast.peak_stored == full.peak_stored
+    top = max((fast.bucket_of_band(j) for j in fast.band_indices()), default=0)
+    for k in range(top + 2):
+        assert fast.parity_prefix_partition(k % 2, k) == full.parity_prefix_partition(
+            k % 2, k
+        )
+
+
+def test_incremental_recert_matches_full_pass_on_seeded_streams():
+    for seed in range(300):
+        rng = random.Random(9000 + seed)
+        t = (1, 2, 3)[seed % 3]
+        eps = (Fraction(1, 10), HALF, Fraction(1))[seed // 3 % 3]
+        # small vertex counts and many zero-weight edges give dense bands
+        # over nontrivial contractions, where later edges fall through e
+        n = rng.randint(3, rng.choice((12, 60)))
+        top = rng.choice((10, 10**3, 10**6, 10**18))
+        zero_share = rng.choice((0.0, 0.05, 0.15))
+        triples = []
+        for _ in range(rng.randint(10, 200)):
+            u, v = rng.sample(range(n), 2)
+            w = 0 if rng.random() < zero_share else rng.randint(1, top)
+            triples.append((u, v, w))
+        _assert_same_as_full_pass(n, t, eps, triples)
+
+
+def test_incremental_recert_matches_full_pass_on_benchmark_shaped_streams():
+    # one bucket holds every weight up to 1.5^27 at n=100, so each insert
+    # re-certifies one large bucket; log-uniform weights over 1..10^18 at
+    # n=150 spread inserts over many buckets and their prefix contractions
+    rng = random.Random(1100)
+    narrow = [(*rng.sample(range(100), 2), rng.randint(1, 50_000)) for _ in range(600)]
+    _assert_same_as_full_pass(100, 2, HALF, narrow)
+    wide = [
+        (*rng.sample(range(150), 2), max(1, int(10 ** rng.uniform(0, 18))))
+        for _ in range(1000)
+    ]
+    _assert_same_as_full_pass(150, 2, HALF, wide)
