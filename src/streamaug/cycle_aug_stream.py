@@ -12,20 +12,39 @@ discarded arc.  The weighted one bands links into coarse weight classes,
 keeps per-class spanning-forest-like link sets screened by 3-edge-connected
 components, and remembers a best arc per (component, fine band, side) so
 that a final exact solve stays within a (2 + O(eps)) factor.
+
+Every graph the weighted store screens is the cycle plus some links, so its
+cuts of size at most 2 are exactly the intervals that no held link crosses,
+and two vertices are 3-edge-connected exactly when no such interval holds
+one and not the other.  The store therefore keeps intervals as bits of a
+Python int: ``contain[x]`` has the bit of every interval holding x, a link
+(u, v) crosses the intervals ``contain[u] ^ contain[v]``, and the uncovered
+set starts as every interval and loses the bits of each held link.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .graph_core import (
-    Arc,
-    Partition,
-    WeightedEdge,
-    three_edge_components,
-)
+from .graph_core import Arc, Partition, WeightedEdge
+from .graph_core import three_edge_components  # noqa: F401  (benchmark/spans.py wraps it here)
 from .oracles import exact_directed_cycle_cover
 from .weightbands import GeometricBands, as_fraction
+
+
+def _interval_masks(n: int) -> list[int]:
+    """contain[x] for the rooted n-cycle: one bit per interval [l, r] holding x.
+
+    Intervals are numbered by l, then r, so those starting at l fill a block
+    of n - l bits from offset(l); x lies in [l, r] for l <= x <= r.
+    """
+    contain = [0] * n
+    offset = 0
+    for l in range(1, n):
+        for x in range(l, n):
+            contain[x] |= ((1 << (n - x)) - 1) << (offset + x - l)
+        offset += n - l
+    return contain
 
 
 def _dedup_links(arcs: list[Arc]) -> list[WeightedEdge]:
@@ -102,8 +121,12 @@ class WeightedAugState:
     are almost free, and fine bands with base 1+eps distinguish weights
     within a coarse class.  Weight-zero links and each coarse class keep a
     link set screened against 3-edge-connected components (a link whose
-    endpoints the kept cheaper material already 3-connects is redundant);
-    all surviving arcs additionally feed a per-(component, fine band, side)
+    endpoints the kept cheaper material already 3-connects is redundant).
+    Screening works on interval bitsets: a link is redundant exactly when it
+    crosses no interval left uncovered by the cycle's held links, keeping it
+    clears its crossing bits, and the components are the vertices grouped
+    by ``contain[v] & uncovered``, so the store has no vertex guard.  All
+    surviving arcs additionally feed a per-(component, fine band, side)
     best-arc table two coarse classes down, which is what finalize solves
     over.  When eps < 1/n the banding collapses and the store simply keeps
     the cheapest link per endpoint pair.
@@ -118,11 +141,12 @@ class WeightedAugState:
         self.n = n
         self.epsilon = epsilon
         self._trivial = eps < Fraction(1, n)
-        self._cycle = [(i, (i + 1) % n) for i in range(n)]
         self._peak = 0
         if self._trivial:
             self._best: dict[tuple[int, int], WeightedEdge] = {}
             return
+        self._contain = _interval_masks(n)
+        self._all_intervals = (1 << (n * (n - 1) // 2)) - 1
         self._fine = GeometricBands(1 + eps)
         self._coarse = GeometricBands(Fraction(n) / eps)
         self._forest: dict[int, list[WeightedEdge]] = {}
@@ -170,14 +194,20 @@ class WeightedAugState:
         The zero class joins both parity chains, so it always participates.
         """
         if k not in self._parts:
-            edges: list = list(self._cycle)
-            edges.extend(self._forest.get(-1, ()))
-            kk = k
-            while kk >= 0:
-                edges.extend(self._forest.get(kk, ()))
-                kk -= 2
-            self._parts[k] = three_edge_components(edges, self.n)
+            unc = self._uncovered([-1, *range(k, -1, -2)])
+            self._parts[k] = Partition([c & unc for c in self._contain])
         return self._parts[k]
+
+    def _crossing(self, e: WeightedEdge) -> int:
+        return self._contain[e.u] ^ self._contain[e.v]
+
+    def _uncovered(self, ks) -> int:
+        """Intervals that no kept link of the classes ks crosses."""
+        unc = self._all_intervals
+        for k in ks:
+            for e in self._forest.get(k, ()):
+                unc &= ~self._crossing(e)
+        return unc
 
     # -- insertion -------------------------------------------------------
 
@@ -206,33 +236,33 @@ class WeightedAugState:
         self._peak = max(self._peak, self.stored_count)
 
     def _cleanup_from(self, kp: int) -> None:
-        zero = list(self._forest.get(-1, ()))
         if kp == -1:
-            self._clean_classes([-1], list(self._cycle))
-            zero = list(self._forest.get(-1, ()))
+            self._clean_classes([-1], self._all_intervals)
+            zero = self._uncovered([-1])
             for parity in (0, 1):
                 ks = sorted(k for k in self._forest if k >= 0 and k % 2 == parity)
-                self._clean_classes(ks, list(self._cycle) + zero)
+                self._clean_classes(ks, zero)
         else:
             parity = kp % 2
-            base = list(self._cycle) + zero
-            for k in sorted(k for k in self._forest if 0 <= k < kp and k % 2 == parity):
-                base.extend(self._forest[k])
+            below = [k for k in self._forest if 0 <= k < kp and k % 2 == parity]
             ks = sorted(k for k in self._forest if k >= kp and k % 2 == parity)
-            self._clean_classes(ks, base)
+            self._clean_classes(ks, self._uncovered([-1, *below]))
 
-    def _clean_classes(self, ks: list[int], base: list) -> None:
-        held = list(base)
-        part = three_edge_components(held, self.n)
+    def _clean_classes(self, ks: list[int], unc: int) -> None:
+        """Re-screen classes ks in order against the uncovered intervals unc.
+
+        A link whose ends no uncovered interval separates is redundant; a
+        kept one covers the intervals it crosses for every later link.
+        """
         for k in ks:
             kept = []
             for e in self._forest.get(k, ()):
-                if part.same(e.u, e.v):
+                cross = self._crossing(e)
+                if not unc & cross:
                     self._forest_count -= 1
                     continue
                 kept.append(e)
-                held.append(e)
-                part = three_edge_components(held, self.n)
+                unc &= ~cross
             self._forest[k] = kept
 
     def _refresh(self, kp: int) -> None:

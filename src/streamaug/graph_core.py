@@ -123,6 +123,8 @@ class Partition:
         for v, lab in enumerate(self._labels):
             members[lab].append(v)
         self._classes = tuple(frozenset(g) for g in members)
+        # vertices were appended in increasing order
+        self._reps = tuple(g[0] for g in members)
 
     @classmethod
     def from_union_find(cls, uf: UnionFind) -> "Partition":
@@ -147,7 +149,7 @@ class Partition:
 
     def rep_of(self, v: int) -> int:
         """Smallest vertex id in v's class."""
-        return min(self._classes[self._labels[v]])
+        return self._reps[self._labels[v]]
 
     def refines(self, other: "Partition") -> bool:
         seen: dict[int, int] = {}

@@ -23,7 +23,13 @@ from .graph_core import (
     edge_connectivity_at_least,
     is_connected,
 )
-from .oracles import KCAP_MAX_LINKS, AugmentationInstance, exact_kcap, exact_sndp
+from .oracles import (
+    KCAP_MAX_LINKS,
+    SNDP_MAX_EDGES,
+    AugmentationInstance,
+    exact_kcap,
+    exact_sndp,
+)
 from .sndp_coreset import Requirements
 from .spanner_stream import SpannerState
 from .weightbands import as_fraction
@@ -242,7 +248,7 @@ def kcap_fully_streaming(
         details["reason"] = str(exc)
         return PipelineReport([], 0, peaks, False, details=details)
     oracle_weight = None
-    if with_oracle:
+    if with_oracle and len(links_all) <= KCAP_MAX_LINKS:
         try:
             _, oracle_weight = exact_kcap(
                 AugmentationInstance(n=n, k=k, base=base_all, links=links_all)
@@ -323,7 +329,7 @@ def stap_fully_streaming(
         details["reason"] = str(exc)
         return PipelineReport([], 0, peaks, False, details=details)
     oracle_weight = None
-    if with_oracle:
+    if with_oracle and len(base_edges) + len(links_all) <= SNDP_MAX_EDGES:
         try:
             _, oracle_weight = design(links_all)
         except Infeasible:

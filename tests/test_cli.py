@@ -364,6 +364,53 @@ def test_cli_underconnected_base_exits_four_in_both_kcap_commands(tmp_path, caps
         assert "invalid instance" in err
 
 
+def _same_report_with_and_without_oracle(argv, capsys):
+    reports = []
+    for extra in ([], ["--with-oracle"]):
+        code, out, err = _run(argv + extra, capsys)
+        assert code == 0, err
+        reports.append(json.loads(out))
+    plain, with_oracle = reports
+    assert with_oracle["oracle_weight"] is None and with_oracle["ratio"] is None
+    plain.pop("wall_time_s")
+    with_oracle.pop("wall_time_s")
+    assert with_oracle == plain
+
+
+def test_cli_kcap_full_skips_the_oracle_past_its_link_guard(tmp_path, capsys):
+    # 30 links on an 8-ring: the spanner keeps few enough for the exact
+    # finalize, but the oracle over every link is past KCAP_MAX_LINKS
+    n = 8
+    chords = [(u, v) for u in range(n) for v in range(u + 2, n) if (u, v) != (0, n - 1)]
+    links = [(u, v, 1 + 3 * i % 7) for i, (u, v) in enumerate(chords)]
+    links += [(u, v, 2 + 5 * i % 9) for i, (u, v) in enumerate(chords[:10])]
+    lines = [f"header n={n} k=3"] + [f"E {i} {(i + 1) % n} 1" for i in range(n)]
+    lines += [f"L {u} {v} {w}" for u, v, w in links]
+    stream = tmp_path / "ring8.txt"
+    stream.write_text("\n".join(lines) + "\n")
+    assert len(links) == 30
+    _same_report_with_and_without_oracle(
+        ["kcap-full", str(stream), "--t", "2", "--epsilon", "0.5"], capsys
+    )
+
+
+def test_cli_stap_skips_the_oracle_past_its_edge_guard(tmp_path, capsys):
+    # 5 path edges plus 20 links exceed the exact design's 20-edge guard
+    n = 6
+    pairs = [(u, v) for u in range(n) for v in range(u + 2, n)]
+    links = [(u, v, 1 + 2 * i % 5) for i, (u, v) in enumerate(pairs)]
+    links += [(u, v, 3 + i % 4) for i, (u, v) in enumerate(pairs[:10])]
+    lines = [f"header n={n}"] + [f"E {i} {i + 1} 1" for i in range(n - 1)]
+    lines += [f"L {u} {v} {w}" for u, v, w in links]
+    stream = tmp_path / "path6.txt"
+    stream.write_text("\n".join(lines) + "\n")
+    assert len(links) == 20
+    _same_report_with_and_without_oracle(
+        ["stap", str(stream), "--terminals", "0,1,2,3,4,5", "--t", "2", "--epsilon", "0.5"],
+        capsys,
+    )
+
+
 def test_cli_reports_are_deterministic(capsys):
     argv = [
         "kcap-full",

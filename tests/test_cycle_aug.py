@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from streamaug.cycle_aug_stream import UnweightedArcStore, WeightedAugState
-from streamaug.errors import Infeasible
+from streamaug.errors import Infeasible, SizeGuardError
 from streamaug.graph_core import WeightedEdge, three_edge_components
 
 import support
@@ -325,3 +325,142 @@ def test_weighted_finalize_feasible_and_within_ratio():
         opt = support.undirected_cycle_opt(n, [(e.u, e.v, e.w) for e in links])
         assert opt is not None
         assert weight <= (2 + 6 * eps) * opt[0]
+
+
+# -- interval bitsets against the generic 3-edge-connectivity routes --------
+
+
+class _ThreeEccStore(WeightedAugState):
+    """The store screening through ``three_edge_components`` on every question.
+
+    This is how the store worked before interval bitsets: each partition and
+    each kept link re-ran the generic routes (cut table up to n = 18,
+    pairwise max-flow above).
+    """
+
+    def partition(self, k):
+        if k not in self._parts:
+            edges = _ring(self.n) + list(self._forest.get(-1, ()))
+            for kk in range(k, -1, -2):
+                edges.extend(self._forest.get(kk, ()))
+            self._parts[k] = three_edge_components(edges, self.n)
+        return self._parts[k]
+
+    def _cleanup_from(self, kp):
+        if kp == -1:
+            self._clean_classes([-1], _ring(self.n))
+            zero = list(self._forest.get(-1, ()))
+            for parity in (0, 1):
+                ks = sorted(k for k in self._forest if k >= 0 and k % 2 == parity)
+                self._clean_classes(ks, _ring(self.n) + zero)
+        else:
+            parity = kp % 2
+            base = _ring(self.n) + list(self._forest.get(-1, ()))
+            for k in sorted(k for k in self._forest if 0 <= k < kp and k % 2 == parity):
+                base.extend(self._forest[k])
+            ks = sorted(k for k in self._forest if k >= kp and k % 2 == parity)
+            self._clean_classes(ks, base)
+
+    def _clean_classes(self, ks, base):
+        held = list(base)
+        part = three_edge_components(held, self.n)
+        for k in ks:
+            kept = []
+            for e in self._forest.get(k, ()):
+                if part.same(e.u, e.v):
+                    self._forest_count -= 1
+                    continue
+                kept.append(e)
+                held.append(e)
+                part = three_edge_components(held, self.n)
+            self._forest[k] = kept
+
+
+def _finalize_outcome(state):
+    try:
+        return state.finalize()
+    except Infeasible as exc:
+        return type(exc)
+
+
+def _differential_stream(rng, n, m):
+    """Links with zero, small and wide weights, repeated pairs included."""
+    out = []
+    for i in range(m):
+        u, v = rng.sample(range(n), 2)
+        kind = rng.random()
+        if kind < 0.15:
+            w = 0
+        elif kind < 0.5:
+            w = rng.randint(1, 4)
+        else:
+            w = rng.randint(1, 9) * 10 ** rng.randint(0, 12)
+        out.append(WeightedEdge(u, v, w, i))
+    return out
+
+
+def test_interval_bitsets_match_the_three_ecc_store_after_every_insert():
+    rng = random.Random(48)
+    epsilons = [Fraction(1, 40), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    inserts = 0
+    for trial in range(200):
+        # both generic routes: the cut table up to 18 vertices, flows above
+        n = 3 + trial % 22
+        eps = epsilons[trial % len(epsilons)]
+        m = rng.randint(1, 40 if n <= 12 else 10 if n <= 18 else 6)
+        new, old = WeightedAugState(n, eps), _ThreeEccStore(n, eps)
+        for link in _differential_stream(rng, n, m):
+            new.insert(link)
+            old.insert(link)
+            inserts += 1
+            assert new.stored_count == old.stored_count
+            assert new.peak_stored == old.peak_stored
+            assert new.forest_classes() == old.forest_classes()
+            for k in new.forest_classes():
+                assert new.forest_edges(k) == old.forest_edges(k)
+            if not new.is_trivial:
+                # every class the store screens or files arcs under
+                for k in {-1, *new.forest_classes(), *new._arcs}:
+                    assert new.partition(k) == old.partition(k)
+            assert new.all_arcs() == old.all_arcs()
+            assert _finalize_outcome(new) == _finalize_outcome(old)
+    assert inserts > 2000
+
+
+def test_store_screens_past_the_generic_vertex_guard():
+    # three_edge_components refuses n > 64; the interval bitsets have no
+    # guard, and two vertices share a class exactly when 3 edge-disjoint
+    # paths join them in the cycle plus every ingested link of the chain
+    rng = random.Random(49)
+    for n, m in ((80, 90), (100, 110)):
+        with pytest.raises(SizeGuardError):
+            three_edge_components(_ring(n), n)
+        state = WeightedAugState(n, Fraction(1, 2))
+        ingested = []
+        for i in range(m):
+            u, v = rng.sample(range(n), 2)
+            link = WeightedEdge(u, v, rng.choice([0, 0, 0, 1, 5, 10**6]), i)
+            state.insert(link)
+            ingested.append(link)
+        chains = {state.coarse_class_of(e.w) for e in ingested}
+        for k in sorted(chains):
+            chain = [
+                e
+                for e in ingested
+                if state.coarse_class_of(e.w) == -1
+                or (0 <= state.coarse_class_of(e.w) <= k and (k - state.coarse_class_of(e.w)) % 2 == 0)
+            ]
+            edges = _ring(n) + chain
+            part = state.partition(k)
+            assert 1 < part.class_count < n
+            # 3-edge-connectivity is an equivalence, so checking every
+            # vertex against its class representative and every pair of
+            # representatives decides every vertex pair
+            for v in range(n):
+                rep = part.rep_of(v)
+                if rep != v:
+                    assert support.nx_pair_flow(edges, n, rep, v) >= 3
+            reps = sorted({part.rep_of(v) for v in range(n)})
+            for i, a in enumerate(reps):
+                for b in reps[i + 1 :]:
+                    assert support.nx_pair_flow(edges, n, a, b) < 3
