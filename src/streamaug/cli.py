@@ -12,6 +12,7 @@ usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -135,7 +136,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = _Parser(prog="streamaug", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

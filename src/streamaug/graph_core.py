@@ -172,13 +172,20 @@ class Partition:
         return f"Partition({list(self._labels)})"
 
 
-def connected_components(edges, n: int) -> Partition:
-    uf = UnionFind(n)
+def check_endpoints(edges, n: int) -> None:
+    """Raise ValueError unless every edge has both ends in 0..n-1."""
     for e in edges:
         u, v = edge_ends(e)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge endpoint out of range for n={n}: ({u}, {v})")
-        uf.union(u, v)
+
+
+def connected_components(edges, n: int) -> Partition:
+    edges = list(edges)
+    check_endpoints(edges, n)
+    uf = UnionFind(n)
+    for e in edges:
+        uf.union(*edge_ends(e))
     return Partition.from_union_find(uf)
 
 
@@ -205,6 +212,38 @@ def cut_size_table(edges, n: int) -> np.ndarray:
         in_v = (masks >> (v - 1)) & 1 if v > 0 else np.uint32(0)
         sizes += in_u ^ in_v
     return sizes
+
+
+def side_membership(n: int) -> np.ndarray:
+    """Boolean (n, 2^(n-1)) matrix: entry [v, mask] is whether side ``mask`` holds v.
+
+    Side ``mask`` is the set of vertices i >= 1 with bit (i-1) set, as in
+    cut_size_table, so row 0 (vertex 0) and column 0 (the empty side) are
+    all False.  An edge uv crosses exactly the sides where rows u and v differ.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > CUT_ENUM_MAX_N:
+        raise SizeGuardError(f"cut enumeration needs n <= {CUT_ENUM_MAX_N}, got {n}")
+    masks = np.arange(1 << (n - 1), dtype=np.uint32)
+    member = np.zeros((n, len(masks)), dtype=bool)
+    member[1:] = (masks >> np.arange(n - 1, dtype=np.uint32)[:, None]) & 1
+    return member
+
+
+def pack_sides(flags: np.ndarray) -> int:
+    """A boolean vector over side masks as an int with bit ``mask`` set where True."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def side_bits(n: int) -> list[int]:
+    """Per vertex v, the int whose bit ``mask`` is set for every side holding v.
+
+    ``side_bits(n)[u] ^ side_bits(n)[v]`` is the set of sides edge uv crosses,
+    and the OR of that over the terminal pairs demanding at least j is the set
+    of sides demanding at least j crossings.
+    """
+    return [pack_sides(row) for row in side_membership(n)]
 
 
 def _mask_members(mask: int) -> frozenset[int]:
@@ -302,10 +341,7 @@ def three_edge_components(edges, n: int) -> Partition:
     max-flow with merged classes skipped.
     """
     edges = list(edges)
-    for e in edges:
-        u, v = edge_ends(e)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge endpoint out of range for n={n}: ({u}, {v})")
+    check_endpoints(edges, n)
     if n <= _TABLE_MAX_N:
         sizes = cut_size_table(edges, n)
         small = np.nonzero(sizes <= 2)[0]

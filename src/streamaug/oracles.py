@@ -11,6 +11,19 @@ Ties are broken deterministically.  The cover solvers minimize
 minimizes (total weight, arc count, sorted index tuple); cardinality sits
 between weight and the index tuple because plain lexicographic order does
 not survive concatenation of independent subproblems.
+
+The cover solvers work on side bitsets from ``graph_core.side_bits``: bit
+``mask`` of a link's set is whether the link crosses side ``mask``.  The
+design multicover keeps its counts bit-sliced: ``cov[j]`` holds the sides
+that at least j chosen edges cross, and ``suf[i][j]`` the sides that at
+least j of edges i..m-1 cross.  Every demand is met when each side needing
+at least j crossings lies in ``cov[j]``; a branch is dead when some side
+needing j lies outside the OR over a of ``cov[a] & suf[i][j-a]``, the sides
+that the chosen edges plus the undecided ones can still cross j times.
+These are exactly the tests that per-side deficit and slack counters make,
+so with the same branch order, bound and tie-break the search visits the
+same nodes and returns the same subset; a node costs a few big-integer
+operations instead of a walk over the sides each edge crosses.
 """
 
 from __future__ import annotations
@@ -23,10 +36,12 @@ from .errors import Infeasible, SizeGuardError
 from .graph_core import (
     Arc,
     WeightedEdge,
+    check_endpoints,
     cut_size_table,
-    cuts_of_size_at_most,
     edge_connectivity_at_least,
     edge_ends,
+    pack_sides,
+    side_bits,
 )
 
 KCAP_MAX_LINKS = 22
@@ -108,20 +123,18 @@ def exact_kcap(instance: AugmentationInstance) -> tuple[list[WeightedEdge], int]
         raise SizeGuardError(
             f"exact cover handles at most {KCAP_MAX_LINKS} links, got {len(instance.links)}"
         )
-    sides = cuts_of_size_at_most(instance.base, instance.n, instance.k - 1)
-    if not sides:
+    n = instance.n
+    if n < 2:
         return [], 0
-    masks = []
-    for e in instance.links:
-        mask = 0
-        for idx, side in enumerate(sides):
-            if (e.u in side.members) != (e.v in side.members):
-                mask |= 1 << idx
-        masks.append(mask)
-    full = (1 << len(sides)) - 1
+    # bit 0 is the empty side, which no link crosses
+    full = pack_sides(cut_size_table(instance.base, n) <= instance.k - 1) & ~1
+    if not full:
+        return [], 0
+    bits = side_bits(n)
+    masks = [(bits[e.u] ^ bits[e.v]) & full for e in instance.links]
     hit = _cover_branch_and_bound(masks, [e.w for e in instance.links], full)
     if hit is None:
-        raise Infeasible(f"{len(sides)} deficient cuts cannot all be covered")
+        raise Infeasible(f"{full.bit_count()} deficient cuts cannot all be covered")
     weight, chosen = hit
     return [instance.links[i] for i in chosen], weight
 
@@ -180,51 +193,51 @@ def exact_directed_cycle_cover(n: int, arcs: list[Arc]) -> tuple[list[Arc], int]
     return [arcs[i] for i in top[2]], top[0]
 
 
-def _multicover_branch_and_bound(
-    cross: list[list[int]], weights: list[int], need: list[int]
-):
-    """Min-weight multicover: side s must be crossed at least need[s] times."""
-    m = len(cross)
-    deficit = list(need)
-    num_unsat = sum(1 for d in deficit if d > 0)
-    slack = [-d for d in deficit]
-    for lst in cross:
-        for s in lst:
-            slack[s] += 1
-    num_bad = sum(1 for s in slack if s < 0)
+def _multicover_branch_and_bound(cross: list[int], weights: list[int], need: list[int]):
+    """Min-weight multicover over side bitsets; ties to the lex-least index set.
+
+    ``cross[i]`` holds the sides edge i crosses and ``need[j-1]`` the sides
+    to be crossed at least j times; level 0 of ``cov`` and ``suf`` (module
+    docstring) stands for every side with a demand.
+    """
+    m, top = len(cross), len(need)
+    levels = range(1, top + 1)
+    suf = [[need[0]] + [0] * top]
+    for c in reversed(cross):
+        below = suf[-1]
+        suf.append([need[0]] + [below[j] | (below[j - 1] & c) for j in levels])
+    suf.reverse()
+    # a side reaches j crossings when a chosen and j - a undecided edges can
+    reach_terms = [(need[j - 1], [(a, j - a) for a in range(j + 1)]) for j in levels]
+    met = list(zip(need, levels))
     best: list = [None]
 
-    def walk(i: int, weight: int, chosen: list[int], unsat: int, bad: int) -> None:
-        if unsat == 0:
+    def walk(i: int, weight: int, chosen: list[int], cov: list[int]) -> None:
+        for want, j in met:
+            if want & ~cov[j]:
+                break
+        else:
             cand = (weight, tuple(chosen))
             if best[0] is None or cand < best[0]:
                 best[0] = cand
             return
-        if i == m or bad > 0:
+        if i == m or (best[0] is not None and weight > best[0][0]):
             return
-        if best[0] is not None and weight > best[0][0]:
-            return
-        hits = cross[i]
-        gained = 0
-        for s in hits:
-            deficit[s] -= 1
-            if deficit[s] == 0:
-                gained += 1
+        rest = suf[i]
+        for want, terms in reach_terms:
+            reach = 0
+            for a, b in terms:
+                reach |= cov[a] & rest[b]
+            if want & ~reach:
+                return
+        c = cross[i]
         chosen.append(i)
-        walk(i + 1, weight + weights[i], chosen, unsat - gained, bad)
+        grown = [cov[0]] + [cov[j] | (cov[j - 1] & c) for j in levels]
+        walk(i + 1, weight + weights[i], chosen, grown)
         chosen.pop()
-        for s in hits:
-            deficit[s] += 1
-        worsened = 0
-        for s in hits:
-            slack[s] -= 1
-            if slack[s] == -1:
-                worsened += 1
-        walk(i + 1, weight, chosen, unsat, bad + worsened)
-        for s in hits:
-            slack[s] += 1
+        walk(i + 1, weight, chosen, cov)
 
-    walk(0, 0, [], num_unsat, num_bad)
+    walk(0, 0, [], [need[0]] + [0] * top)
     return best[0]
 
 
@@ -245,10 +258,11 @@ def exact_sndp(
 ) -> tuple[list[WeightedEdge], int]:
     """Cheapest edge subset giving each terminal pair its demanded connectivity.
 
-    Enumerates all vertex sides, computes the demand of each side as the
-    largest requirement it separates, and branch-and-bounds over edge
-    subsets with per-side crossing counts.  Returns (chosen edges, weight)
-    or raises Infeasible.
+    The sides demanding at least j crossings are the OR of the separating
+    side sets of all pairs requiring at least j; branch-and-bound then runs
+    over edge subsets with bit-sliced crossing counts.  Returns (chosen
+    edges, weight) or raises Infeasible; an edge or pair with an end outside
+    0..n-1 is a ValueError.
     """
     edges = list(edges)
     if n > SNDP_MAX_N:
@@ -265,29 +279,18 @@ def exact_sndp(
             raise ValueError(f"requirement on a single vertex: ({s}, {t})")
         if r < 0:
             raise ValueError(f"negative requirement: {r}")
-    sides = []
-    need = []
-    for mask in range(1, 1 << (n - 1)):
-        demand = 0
-        for s, t, r in pairs:
-            in_s = s > 0 and (mask >> (s - 1)) & 1
-            in_t = t > 0 and (mask >> (t - 1)) & 1
-            if in_s != in_t and r > demand:
-                demand = r
-        if demand > 0:
-            sides.append(mask)
-            need.append(demand)
-    if not sides:
+    check_endpoints(edges, n)
+    top = max((r for _, _, r in pairs), default=0)
+    if top == 0:
         return [], 0
-    cross = []
-    for e in edges:
-        hits = []
-        for idx, mask in enumerate(sides):
-            in_u = e.u > 0 and (mask >> (e.u - 1)) & 1
-            in_v = e.v > 0 and (mask >> (e.v - 1)) & 1
-            if in_u != in_v:
-                hits.append(idx)
-        cross.append(hits)
+    if top > len(edges):
+        raise Infeasible(f"a demand of {top} exceeds the {len(edges)} edges")
+    bits = side_bits(n)
+    need = [0] * top
+    for s, t, r in pairs:
+        for j in range(r):
+            need[j] |= bits[s] ^ bits[t]
+    cross = [bits[e.u] ^ bits[e.v] for e in edges]
     hit = _multicover_branch_and_bound(cross, [e.w for e in edges], need)
     if hit is None:
         raise Infeasible("some separating cut cannot reach its demanded crossing count")

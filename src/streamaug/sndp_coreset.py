@@ -7,14 +7,22 @@ the next layer in arrival order.  Layer i therefore holds a spanner of
 "what the first i-1 layers threw away", and the union of the first i
 layers approximates distances among all edges rejected earlier, which is
 exactly what phase i of the reverse augmentation scheme shops from.
+
+The reverse-phase solver keeps side demands and crossing counts as numpy
+vectors over side masks (``graph_core.side_membership``).  Each phase's set
+cover gets the side bitsets ``cross(e) & targets``, ``targets`` being the
+sides one crossing short; the cover search only ORs these and compares them
+with ``targets``, so numbering sides by mask changes no result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import Infeasible, SizeGuardError, StreamFormatError
-from .graph_core import WeightedEdge
+from .graph_core import WeightedEdge, check_endpoints, pack_sides, side_bits, side_membership
 from .oracles import SNDP_MAX_N, _cover_branch_and_bound
 from .spanner_stream import SpannerState
 from .weightbands import as_fraction
@@ -149,7 +157,8 @@ def solve_sndp(coreset, requirements: Requirements) -> SndpSolution:
     Phase i must raise every cut U to max(0, f(U) - (k - i)) crossings.
     Since the previous phase already reached one less, each phase faces
     deficits of at most one and reduces to a plain set cover, solved over
-    the layers unlocked so far minus everything already chosen.
+    the layers unlocked so far minus everything already chosen.  An edge
+    with an end outside 0..n-1 is a ValueError.
     """
     layers = coreset.layers() if hasattr(coreset, "layers") else [list(l) for l in coreset]
     n = requirements.n
@@ -161,49 +170,30 @@ def solve_sndp(coreset, requirements: Requirements) -> SndpSolution:
             f"largest requirement {requirements.max_requirement} exceeds the "
             f"{k}-layer coreset"
         )
-    sides = []
-    need = []
-    for mask in range(1, 1 << (n - 1)):
-        members = [v for v in range(1, n) if (mask >> (v - 1)) & 1]
-        demand = requirements.cut_demand(members)
-        if demand > 0:
-            sides.append(mask)
-            need.append(demand)
+    for layer in layers:
+        check_endpoints(layer, n)
+    member = side_membership(n)
+    bits = side_bits(n)
+    need = np.zeros(member.shape[1], dtype=np.int64)
+    for (s, t), r in requirements.items():
+        np.maximum(need, np.where(member[s] ^ member[t], r, 0), out=need)
+    crossings = np.zeros_like(need)
     chosen: list[WeightedEdge] = []
     chosen_arrivals: set[int] = set()
-    crossings = [0] * len(sides)
     phases: list[tuple[WeightedEdge, ...]] = []
     pool: list[WeightedEdge] = []
-
-    def crosses(e: WeightedEdge, mask: int) -> bool:
-        in_u = e.u > 0 and (mask >> (e.u - 1)) & 1
-        in_v = e.v > 0 and (mask >> (e.v - 1)) & 1
-        return bool(in_u) != bool(in_v)
-
     for phase in range(1, k + 1):
         pool.extend(layers[phase - 1])
-        targets = []
-        for idx, mask in enumerate(sides):
-            deficit = max(0, need[idx] - (k - phase)) - crossings[idx]
-            if deficit > 1:
-                raise RuntimeError(
-                    "phase deficit exceeded 1; augmentation invariant broken"
-                )
-            if deficit == 1:
-                targets.append(idx)
+        deficit = np.maximum(need - (k - phase), 0) - crossings
+        if (deficit > 1).any():
+            raise RuntimeError("phase deficit exceeded 1; augmentation invariant broken")
+        targets = pack_sides(deficit == 1)
         if not targets:
             phases.append(())
             continue
         avail = [e for e in pool if e.arrival not in chosen_arrivals]
-        masks = []
-        for e in avail:
-            m = 0
-            for pos, idx in enumerate(targets):
-                if crosses(e, sides[idx]):
-                    m |= 1 << pos
-            masks.append(m)
-        full = (1 << len(targets)) - 1
-        hit = _cover_branch_and_bound(masks, [e.w for e in avail], full)
+        masks = [(bits[e.u] ^ bits[e.v]) & targets for e in avail]
+        hit = _cover_branch_and_bound(masks, [e.w for e in avail], targets)
         if hit is None:
             raise Infeasible(f"phase {phase} cannot cover all deficient cuts")
         _, picked = hit
@@ -212,9 +202,7 @@ def solve_sndp(coreset, requirements: Requirements) -> SndpSolution:
         for e in grabbed:
             chosen.append(e)
             chosen_arrivals.add(e.arrival)
-            for idx in range(len(sides)):
-                if crosses(e, sides[idx]):
-                    crossings[idx] += 1
+            crossings += member[e.u] ^ member[e.v]
     return SndpSolution(
         edges=tuple(chosen),
         weight=sum(e.w for e in chosen),

@@ -6,11 +6,14 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamaug.cactus import cactus_build, format_cactus
-from streamaug.cli import MAX_WEIGHT, main, parse_stream, write_stream
+from streamaug.cli import MAX_WEIGHT, ParsedStream, build_parser, main, parse_stream, write_stream
 from streamaug.errors import StreamFormatError
 from streamaug.graph_core import WeightedEdge
+from streamaug.pipelines import StreamEvent
 
 FIXTURES = Path(__file__).parent / "fixtures"
 STREAM_FIXTURES = [
@@ -91,6 +94,27 @@ def test_write_stream_round_trips_parsed_values():
     text = "header n=4 k=3\nE 0 1 1\nL 0 2 5\n"
     parsed = parse_stream(text)
     assert write_stream(parsed) == text
+    assert parse_stream(write_stream(parsed)) == parsed
+
+
+_records = st.lists(
+    st.tuples(
+        st.sampled_from("EL"),
+        st.integers(0, 7),
+        st.integers(0, 7),
+        st.integers(0, MAX_WEIGHT),
+    ).filter(lambda r: r[1] != r[2]),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(8, 40), k=st.one_of(st.none(), st.integers(1, 9)), records=_records)
+def test_write_stream_round_trips_generated_streams(n, k, records):
+    events = [
+        StreamEvent(tag, WeightedEdge(u, v, w, i)) for i, (tag, u, v, w) in enumerate(records)
+    ]
+    parsed = ParsedStream(n=n, k=k, events=events)
     assert parse_stream(write_stream(parsed)) == parsed
 
 
@@ -409,6 +433,35 @@ def test_cli_stap_skips_the_oracle_past_its_edge_guard(tmp_path, capsys):
         ["stap", str(stream), "--terminals", "0,1,2,3,4,5", "--t", "2", "--epsilon", "0.5"],
         capsys,
     )
+
+
+def test_cli_back_to_back_runs_match_separate_runs(capsys):
+    # the parser is built once per process and must carry nothing between calls
+    runs = [
+        ["spanner", str(FIXTURES / "spanner6.txt"), "--t", "2", "--epsilon", "0.5"],
+        ["spanner", str(FIXTURES / "spanner6.txt"), "--t", "2"],
+        ["oracle", str(FIXTURES / "clique4.txt"), "--requirements",
+         str(FIXTURES / "reqs_all2.txt")],
+        ["frobnicate", str(FIXTURES / "clique4.txt")],
+        ["oracle", str(FIXTURES / "ring4_chords.txt")],
+    ]
+
+    def outcome(argv):
+        code, out, err = _run(argv, capsys)
+        report = json.loads(out) if out else None
+        if report:
+            report.pop("wall_time_s")
+        return code, report, err
+
+    together = [outcome(argv) for argv in runs]
+    separate = []
+    for argv in runs:
+        build_parser.cache_clear()
+        separate.append(outcome(argv))
+    assert together == separate
+    assert [code for code, _, _ in together] == [0, 4, 0, 4, 0]
+    assert together[2][1]["output_weight"] == 4
+    assert together[4][1]["output_weight"] == 2
 
 
 def test_cli_reports_are_deterministic(capsys):

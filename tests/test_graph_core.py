@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from streamaug import SizeGuardError, WeightedEdge, cuts_of_size_at_most, three_edge_components
@@ -15,6 +17,8 @@ from streamaug.graph_core import (
     connected_components,
     edge_connectivity_at_least,
     is_connected,
+    side_bits,
+    side_membership,
 )
 
 C4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -199,3 +203,34 @@ def test_partition_from_union_find_reps_are_minima():
     assert p.rep_of(0) == 0
     assert is_connected([(0, 1), (1, 2)], 3)
     assert not is_connected([(0, 1)], 3)
+
+
+@st.composite
+def _vertex_pair(draw):
+    n = draw(st.integers(1, 12))
+    return n, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vertex_pair())
+def test_side_bits_cross_exactly_the_separating_sides(case):
+    n, u, v = case
+    bits = side_bits(n)
+    member = side_membership(n)
+
+    def holds(x, mask):
+        return x > 0 and (mask >> (x - 1)) & 1 == 1
+
+    crossing = bits[u] ^ bits[v]
+    for mask in range(1 << (n - 1)):
+        assert (crossing >> mask) & 1 == (holds(u, mask) != holds(v, mask))
+        assert member[u, mask] == holds(u, mask)
+    assert crossing >> (1 << (n - 1)) == 0
+    assert bits[0] == 0
+
+
+def test_side_bits_guards():
+    with pytest.raises(ValueError):
+        side_bits(0)
+    with pytest.raises(SizeGuardError):
+        side_bits(25)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -19,6 +20,8 @@ from streamaug import (
     exact_sndp,
     validate_certificate,
 )
+from streamaug.graph_core import cuts_of_size_at_most
+from streamaug.oracles import _cover_branch_and_bound
 
 C4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
@@ -267,3 +270,202 @@ def test_certificate_respects_multiplicity():
     full = [(0, 1), (0, 1), (0, 1)]
     assert validate_certificate(full, [(0, 1), (0, 1)], 2, 2)
     assert not validate_certificate(full, [(0, 1), (0, 1)], 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# side bitsets against the per-side solvers they replaced
+
+
+def _per_side_multicover(cross, weights, need):
+    """Test-only copy of the multicover that kept per-side deficit and slack."""
+    m = len(cross)
+    deficit = list(need)
+    num_unsat = sum(1 for d in deficit if d > 0)
+    slack = [-d for d in deficit]
+    for lst in cross:
+        for s in lst:
+            slack[s] += 1
+    num_bad = sum(1 for s in slack if s < 0)
+    best: list = [None]
+
+    def walk(i, weight, chosen, unsat, bad):
+        if unsat == 0:
+            cand = (weight, tuple(chosen))
+            if best[0] is None or cand < best[0]:
+                best[0] = cand
+            return
+        if i == m or bad > 0:
+            return
+        if best[0] is not None and weight > best[0][0]:
+            return
+        hits = cross[i]
+        gained = 0
+        for s in hits:
+            deficit[s] -= 1
+            if deficit[s] == 0:
+                gained += 1
+        chosen.append(i)
+        walk(i + 1, weight + weights[i], chosen, unsat - gained, bad)
+        chosen.pop()
+        for s in hits:
+            deficit[s] += 1
+        worsened = 0
+        for s in hits:
+            slack[s] -= 1
+            if slack[s] == -1:
+                worsened += 1
+        walk(i + 1, weight, chosen, unsat, bad + worsened)
+        for s in hits:
+            slack[s] += 1
+
+    walk(0, 0, [], num_unsat, num_bad)
+    return best[0]
+
+
+def _per_side_exact_sndp(n, edges, pairs):
+    """Test-only copy of exact_sndp with a Python loop over sides and pairs."""
+    pairs = sorted((min(s, t), max(s, t), r) for (s, t), r in pairs.items())
+    sides, need = [], []
+    for mask in range(1, 1 << (n - 1)):
+        demand = 0
+        for s, t, r in pairs:
+            in_s = s > 0 and (mask >> (s - 1)) & 1
+            in_t = t > 0 and (mask >> (t - 1)) & 1
+            if in_s != in_t and r > demand:
+                demand = r
+        if demand > 0:
+            sides.append(mask)
+            need.append(demand)
+    if not sides:
+        return [], 0
+    cross = []
+    for e in edges:
+        hits = []
+        for idx, mask in enumerate(sides):
+            in_u = e.u > 0 and (mask >> (e.u - 1)) & 1
+            in_v = e.v > 0 and (mask >> (e.v - 1)) & 1
+            if in_u != in_v:
+                hits.append(idx)
+        cross.append(hits)
+    hit = _per_side_multicover(cross, [e.w for e in edges], need)
+    if hit is None:
+        raise Infeasible("per-side multicover found no cover")
+    weight, chosen = hit
+    return [edges[i] for i in chosen], weight
+
+
+def _per_side_exact_kcap(instance):
+    """Test-only copy of exact_kcap building link masks side by side."""
+    sides = cuts_of_size_at_most(instance.base, instance.n, instance.k - 1)
+    if not sides:
+        return [], 0
+    masks = []
+    for e in instance.links:
+        mask = 0
+        for idx, side in enumerate(sides):
+            if (e.u in side.members) != (e.v in side.members):
+                mask |= 1 << idx
+        masks.append(mask)
+    hit = _cover_branch_and_bound(
+        masks, [e.w for e in instance.links], (1 << len(sides)) - 1
+    )
+    if hit is None:
+        raise Infeasible("per-side cover found no cover")
+    weight, chosen = hit
+    return [instance.links[i] for i in chosen], weight
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (Infeasible, ValueError) as exc:
+        return type(exc)
+
+
+def _random_weights(rng, count):
+    scale = rng.choice(["zero", "small", "wide", "mixed"])
+    if scale == "zero":
+        return [0] * count
+    if scale == "small":
+        return [rng.randint(0, 5) for _ in range(count)]
+    if scale == "wide":
+        return [rng.randint(1, 10**12) for _ in range(count)]
+    return [rng.choice([0, rng.randint(1, 9), rng.randint(1, 10**12)]) for _ in range(count)]
+
+
+def _random_pairs_with_repeats(rng, n, count):
+    """count vertex pairs, about 40% of them repeats of a few earlier ones."""
+    pool = [tuple(rng.sample(range(n), 2)) for _ in range(max(1, count // 2))]
+    return [
+        rng.choice(pool) if rng.random() < 0.4 else tuple(rng.sample(range(n), 2))
+        for _ in range(count)
+    ]
+
+
+def _random_design_ends(rng, n):
+    """Up to 20 edge ends: a multigraph, a tree or a cycle plus parallel extras."""
+    shape = rng.choice(["any", "tree", "cycle"] if n > 2 else ["any", "tree"])
+    extra = _random_pairs_with_repeats(rng, n, rng.randint(0, 20 - n))
+    if shape == "any":
+        return _random_pairs_with_repeats(rng, n, rng.randint(0, 20))
+    if shape == "tree":
+        return support.random_connected_graph(rng, n, 0) + extra
+    return support.random_two_connected_graph(rng, n, 0) + extra
+
+
+def test_side_bitset_design_matches_the_per_side_solver():
+    rng = random.Random(5150)
+    kinds = collections.Counter()
+    for trial in range(150):
+        n = rng.randint(2, 12) if trial % 3 else rng.randint(10, 12)
+        ends = _random_design_ends(rng, n)
+        edges = _links([(u, v, w) for (u, v), w in zip(ends, _random_weights(rng, len(ends)))])
+        pairs = {}
+        for _ in range(rng.randint(0, 4)):
+            s, t = sorted(rng.sample(range(n), 2))
+            pairs[(s, t)] = rng.randint(0, 3)
+        want = _outcome(_per_side_exact_sndp, n, edges, pairs)
+        got = _outcome(exact_sndp, n, edges, pairs)
+        assert got == want, (trial, n, edges, pairs)
+        kinds[want if isinstance(want, type) else ("empty" if not want[0] else n >= 10)] += 1
+    # infeasible, empty, covers below and at n >= 10 all occur often
+    assert min(kinds[k] for k in (Infeasible, "empty", False, True)) >= 15, kinds
+
+
+def test_side_bitset_design_matches_on_clique_demands():
+    # dense demands on every pair push the search deep at the largest n
+    rng = random.Random(5151)
+    for trial in range(6):
+        n = 12 - trial % 3
+        edges = _links(
+            [(i, (i + 1) % n, rng.randint(0, 4)) for i in range(n)]
+            + [(*rng.sample(range(n), 2), rng.randint(0, 4)) for _ in range(20 - n)]
+        )
+        pairs = {(u, v): rng.randint(1, 2) for u in range(n) for v in range(u + 1, n)}
+        assert exact_sndp(n, edges, pairs) == _per_side_exact_sndp(n, edges, pairs), trial
+
+
+def test_side_bitset_augmentation_matches_the_per_side_solver():
+    rng = random.Random(5152)
+    for trial in range(150):
+        n = rng.randint(2, 12)
+        k = rng.randint(1, 3)
+        if k == 1:
+            base = support.random_multigraph(rng, n, rng.randint(0, n)) if n > 1 else []
+        elif k == 2:
+            base = support.random_connected_graph(rng, n, rng.randint(0, 2))
+        else:
+            if n < 3:
+                continue
+            base = support.random_two_connected_graph(rng, n, rng.randint(0, 3))
+        m = rng.randint(0, 22 if n <= 8 else 14)
+        ends = _random_pairs_with_repeats(rng, n, m)
+        links = _links([(u, v, w) for (u, v), w in zip(ends, _random_weights(rng, m))])
+        inst = AugmentationInstance(n=n, k=k, base=base, links=links)
+        assert _outcome(exact_kcap, inst) == _outcome(_per_side_exact_kcap, inst), trial
+
+
+def test_design_refuses_edges_outside_the_vertex_range():
+    for bad in (WeightedEdge(1, 7, 1, 0), WeightedEdge(-1, 2, 1, 0), WeightedEdge(3, 0, 1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            exact_sndp(3, [WeightedEdge(0, 1, 1, 1), bad], {(0, 1): 1})

@@ -9,7 +9,8 @@ import pytest
 
 from streamaug.errors import Infeasible, SizeGuardError, StreamFormatError
 from streamaug.graph_core import WeightedEdge
-from streamaug.sndp_coreset import Cascade, Requirements, solve_sndp
+from streamaug.oracles import _cover_branch_and_bound
+from streamaug.sndp_coreset import Cascade, Requirements, SndpSolution, solve_sndp
 from streamaug.spanner_stream import SpannerState
 
 import support
@@ -352,3 +353,130 @@ def test_solver_accepts_plain_layer_lists():
     sol = solve_sndp(layers, Requirements({(0, 2): 2}, 3))
     assert _feasible_flow(sol.edges, Requirements({(0, 2): 2}, 3))
     assert sol.weight == 14
+
+
+# -- side vectors against the per-side solver they replaced ------------------
+
+
+def _per_side_solve_sndp(layers, requirements):
+    """Test-only copy of solve_sndp with a Python loop over every side."""
+    n = requirements.n
+    k = len(layers)
+    if requirements.max_requirement > k:
+        raise ValueError("requirement above the layer count")
+    sides, need = [], []
+    for mask in range(1, 1 << (n - 1)):
+        members = [v for v in range(1, n) if (mask >> (v - 1)) & 1]
+        demand = requirements.cut_demand(members)
+        if demand > 0:
+            sides.append(mask)
+            need.append(demand)
+    chosen, chosen_arrivals, phases, pool = [], set(), [], []
+    crossings = [0] * len(sides)
+
+    def crosses(e, mask):
+        in_u = e.u > 0 and (mask >> (e.u - 1)) & 1
+        in_v = e.v > 0 and (mask >> (e.v - 1)) & 1
+        return bool(in_u) != bool(in_v)
+
+    for phase in range(1, k + 1):
+        pool.extend(layers[phase - 1])
+        targets = []
+        for idx in range(len(sides)):
+            deficit = max(0, need[idx] - (k - phase)) - crossings[idx]
+            if deficit > 1:
+                raise RuntimeError("phase deficit exceeded 1")
+            if deficit == 1:
+                targets.append(idx)
+        if not targets:
+            phases.append(())
+            continue
+        avail = [e for e in pool if e.arrival not in chosen_arrivals]
+        masks = []
+        for e in avail:
+            m = 0
+            for pos, idx in enumerate(targets):
+                if crosses(e, sides[idx]):
+                    m |= 1 << pos
+            masks.append(m)
+        hit = _cover_branch_and_bound(masks, [e.w for e in avail], (1 << len(targets)) - 1)
+        if hit is None:
+            raise Infeasible(f"phase {phase} cannot cover all deficient cuts")
+        grabbed = tuple(avail[i] for i in hit[1])
+        phases.append(grabbed)
+        for e in grabbed:
+            chosen.append(e)
+            chosen_arrivals.add(e.arrival)
+            for idx in range(len(sides)):
+                if crosses(e, sides[idx]):
+                    crossings[idx] += 1
+    return SndpSolution(tuple(chosen), sum(e.w for e in chosen), tuple(phases))
+
+
+def _solve_outcome(solve, layers, reqs):
+    try:
+        return solve(layers, reqs)
+    except (Infeasible, RuntimeError, ValueError) as exc:
+        return type(exc)
+
+
+def _weights(rng, count):
+    scale = rng.choice([0, 5, 10**12])
+    return [rng.randint(0, scale) for _ in range(count)]
+
+
+def test_side_vectors_match_the_per_side_solver_on_cascades():
+    rng = random.Random(5153)
+    kinds = set()
+    for trial in range(300):
+        n = rng.randint(2, 12)
+        k = rng.randint(1, 3)
+        t = rng.randint(1, 2)
+        m = rng.randint(0, 30)
+        ends = [tuple(rng.sample(range(n), 2)) for _ in range(max(1, m // 2))]
+        stream = [
+            WeightedEdge(*rng.choice(ends), w, i) for i, w in enumerate(_weights(rng, m))
+        ]
+        cas = Cascade(n, k, t, Fraction(1, rng.choice([1, 2, 4])))
+        for e in stream:
+            cas.insert(e)
+        pairs = {}
+        for _ in range(rng.randint(0, 4)):
+            s, u = sorted(rng.sample(range(n), 2))
+            pairs[(s, u)] = rng.randint(0, k)
+        reqs = Requirements(pairs, n)
+        want = _solve_outcome(_per_side_solve_sndp, cas.layers(), reqs)
+        assert _solve_outcome(solve_sndp, cas, reqs) == want, (trial, n, k, t, stream, pairs)
+        kinds.add(want if isinstance(want, type) else bool(want.edges))
+    assert kinds == {Infeasible, False, True}
+
+
+def test_side_vectors_match_the_per_side_solver_on_plain_layers():
+    # arbitrary layers, parallel edges and demands above the layer count
+    rng = random.Random(5154)
+    kinds = set()
+    for trial in range(300):
+        n = rng.randint(2, 12)
+        k = rng.randint(1, 3)
+        ends = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 8))]
+        arrival = iter(range(100))
+        layers = [
+            [WeightedEdge(*rng.choice(ends), w, next(arrival)) for w in _weights(rng, size)]
+            for size in [rng.randint(0, 8) for _ in range(k)]
+        ]
+        pairs = {}
+        for _ in range(rng.randint(1, 3)):
+            s, u = sorted(rng.sample(range(n), 2))
+            pairs[(s, u)] = rng.randint(0, k + (trial % 10 == 0))
+        reqs = Requirements(pairs, n)
+        want = _solve_outcome(_per_side_solve_sndp, layers, reqs)
+        assert _solve_outcome(solve_sndp, layers, reqs) == want, (trial, n, layers, pairs)
+        kinds.add(want if isinstance(want, type) else bool(want.edges))
+    assert kinds == {Infeasible, ValueError, False, True}
+
+
+def test_solver_refuses_edges_outside_the_vertex_range():
+    reqs = Requirements({(0, 1): 1}, 3)
+    for bad in (WeightedEdge(1, 7, 1, 1), WeightedEdge(-1, 2, 1, 1), WeightedEdge(3, 0, 1, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            solve_sndp([[WeightedEdge(0, 1, 1, 0)], [bad]], reqs)
