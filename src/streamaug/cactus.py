@@ -19,9 +19,11 @@ from dataclasses import dataclass
 from .errors import SizeGuardError, StreamFormatError
 from .graph_core import (
     WeightedEdge,
+    _mask_members,
     cut_size_table,
     edge_connectivity_at_least,
     is_connected,
+    side_classes,
 )
 
 CACTUS_MAX_N = 16
@@ -122,18 +124,6 @@ def cactus_check(c: CactusGraph) -> None:
             )
 
 
-def _atom_signatures(min_masks: list[int], n: int) -> list[int]:
-    sig = [0] * n
-    for pos, mask in enumerate(min_masks):
-        v = 1
-        while mask:
-            if mask & 1:
-                sig[v] |= 1 << pos
-            mask >>= 1
-            v += 1
-    return sig
-
-
 def cactus_build(edges, n: int) -> CactusGraph:
     """Build the min-cut cactus of a connected multigraph on n <= 16 vertices.
 
@@ -153,25 +143,10 @@ def cactus_build(edges, n: int) -> CactusGraph:
         raise ValueError("cactus construction needs a connected graph")
     sizes = cut_size_table(edges, n)
     lam = int(sizes[1:].min())
-    min_masks = [m for m in range(1, 1 << (n - 1)) if sizes[m] == lam]
-    sig = _atom_signatures(min_masks, n)
-    atom_of: dict[int, int] = {}
-    first: dict[int, int] = {}
-    for v in range(n):
-        if sig[v] not in first:
-            first[sig[v]] = v
-        atom_of[v] = first[sig[v]]
-
-    fam: set[frozenset[int]] = set()
-    for mask in min_masks:
-        members = set()
-        v = 1
-        while mask:
-            if mask & 1:
-                members.add(atom_of[v])
-            mask >>= 1
-            v += 1
-        fam.add(frozenset(members))
+    # mask 0 has size 0, below lam on a connected graph
+    min_masks = (sizes == lam).nonzero()[0]
+    atom_of = side_classes(min_masks, n)
+    fam = {frozenset(atom_of[v] for v in _mask_members(int(m))) for m in min_masks}
 
     node_atoms: list[set[int]] = []
     cedges: list[tuple[int, int]] = []
@@ -244,7 +219,7 @@ def cactus_build(edges, n: int) -> CactusGraph:
                 cedges.append((prev, nid))
         return nid
 
-    universe = frozenset(atom_of[v] for v in range(n))
+    universe = frozenset(atom_of)
     build(universe, sorted(fam, key=lambda s: sorted(s)))
 
     placed: dict[int, int] = {}

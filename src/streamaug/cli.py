@@ -249,23 +249,13 @@ def _dispatch(args) -> tuple[dict, list[WeightedEdge]]:
             if parsed.base_edges():
                 raise StreamFormatError(1, "cactus mode stream cannot carry base edges")
             params["k"] = args.k
-            result = kcap_link_arrival(
-                parsed.links(),
-                cactus=cac,
-                epsilon=args.epsilon,
-                with_oracle=args.with_oracle,
-            )
+            mode = {"cactus": cac}
         else:
-            k = _need_k(args, parsed)
-            params["k"] = k
-            result = kcap_link_arrival(
-                parsed.links(),
-                base_edges=parsed.base_edges(),
-                n=parsed.n,
-                k=k,
-                epsilon=args.epsilon,
-                with_oracle=args.with_oracle,
-            )
+            params["k"] = _need_k(args, parsed)
+            mode = {"base_edges": parsed.base_edges(), "n": parsed.n, "k": params["k"]}
+        result = kcap_link_arrival(
+            parsed.links(), epsilon=args.epsilon, with_oracle=args.with_oracle, **mode
+        )
         return report, _fill_pipeline(report, result)
 
     if args.command == "kcap-full":

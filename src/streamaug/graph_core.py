@@ -225,10 +225,24 @@ def side_membership(n: int) -> np.ndarray:
         raise ValueError(f"need n >= 1, got {n}")
     if n > CUT_ENUM_MAX_N:
         raise SizeGuardError(f"cut enumeration needs n <= {CUT_ENUM_MAX_N}, got {n}")
-    masks = np.arange(1 << (n - 1), dtype=np.uint32)
+    return _membership(np.arange(1 << (n - 1), dtype=np.uint32), n)
+
+
+def _membership(masks: np.ndarray, n: int) -> np.ndarray:
     member = np.zeros((n, len(masks)), dtype=bool)
     member[1:] = (masks >> np.arange(n - 1, dtype=np.uint32)[:, None]) & 1
     return member
+
+
+def side_classes(masks, n: int) -> list[int]:
+    """Per vertex v, the smallest vertex lying in exactly the same sides of ``masks`` as v.
+
+    Sides are laid out as in side_membership.  Two vertices get the same
+    label exactly when no side in the list separates them.
+    """
+    rows = _membership(np.asarray(masks, dtype=np.uint32), n)
+    first: dict[bytes, int] = {}
+    return [first.setdefault(row.tobytes(), v) for v, row in enumerate(rows)]
 
 
 def pack_sides(flags: np.ndarray) -> int:
@@ -344,25 +358,7 @@ def three_edge_components(edges, n: int) -> Partition:
     check_endpoints(edges, n)
     if n <= _TABLE_MAX_N:
         sizes = cut_size_table(edges, n)
-        small = np.nonzero(sizes <= 2)[0]
-        sig = [0] * n
-        for idx, mask in enumerate(small):
-            mask = int(mask)
-            if mask == 0:
-                continue
-            v = 1
-            while mask:
-                if mask & 1:
-                    sig[v] |= 1 << idx
-                mask >>= 1
-                v += 1
-        remap: dict[int, int] = {}
-        labels = []
-        for v in range(n):
-            if sig[v] not in remap:
-                remap[sig[v]] = v
-            labels.append(remap[sig[v]])
-        return Partition(labels)
+        return Partition(side_classes(np.flatnonzero(sizes[1:] <= 2) + 1, n))
     if n > THREE_ECC_MAX_N:
         raise SizeGuardError(f"3-edge-components needs n <= {THREE_ECC_MAX_N}, got {n}")
     cap = _capacity_map(edges, n)

@@ -64,9 +64,9 @@ class AugmentationInstance:
         object.__setattr__(self, "links", tuple(self.links))
         if self.k < 1:
             raise ValueError(f"connectivity target must be >= 1, got {self.k}")
+        check_endpoints(self.base, self.n)
+        check_endpoints(self.links, self.n)
         for e in self.links:
-            if not (0 <= e.u < self.n and 0 <= e.v < self.n):
-                raise ValueError(f"link endpoint out of range: {e}")
             if e.w < 0:
                 raise ValueError(f"negative link weight: {e}")
         if not edge_connectivity_at_least(self.base, self.n, self.k - 1):

@@ -6,17 +6,23 @@ PipelineReport.  An infeasible instance is an answer, not a crash: the
 report comes back with feasible = False and whatever partial output
 exists.  Violated preconditions (wrong base connectivity, malformed
 input) raise instead.
+
+``kcap_link_arrival`` and each later ``kecss`` pass share one step,
+augment_over_cactus: unfold the min-cut cactus onto a cycle, map the links
+onto it through phi, and run the weighted cycle store.  ``oracle_weight``
+is always an exact optimum or null.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cactus import CactusGraph, cactus_build, cactus_unfold
+from .cactus import CactusGraph, UnfoldedCycle, cactus_build, cactus_unfold
 from .certificate_stream import ForestStack
-from .cycle_aug_stream import WeightedAugState
+from .cycle_aug_stream import WeightedAugState, _dedup_links
 from .errors import Infeasible
 from .graph_core import (
+    Arc,
     UnionFind,
     WeightedEdge,
     cut_size_table,
@@ -89,9 +95,92 @@ def ratio_of(total: int, oracle: int | None) -> float | None:
     return total / oracle
 
 
+def _kcap_optimum(n: int, k: int, base, links) -> int | None:
+    """exact_kcap's weight, or None past KCAP_MAX_LINKS or when no link set will do."""
+    if len(links) > KCAP_MAX_LINKS:
+        return None
+    try:
+        return exact_kcap(AugmentationInstance(n=n, k=k, base=base, links=links))[1]
+    except Infeasible:
+        return None
+
+
 def _min_cut_value(edges, n: int) -> int:
     sizes = cut_size_table(edges, n)
     return int(sizes[1:].min())
+
+
+class CactusAugmentation:
+    """One run of the weighted cycle store over an unfolded cactus.
+
+    ``picked`` holds the stream links the store chose, or is None when some
+    folded cut has no covering link; ``reason`` then says which.
+    ``cycle_links`` are the links that reached the store, at their cycle
+    positions; the others lay inside one cactus node.
+    """
+
+    def __init__(self, unfolded: UnfoldedCycle, cycle_links, peak_stored: int):
+        self.unfolded = unfolded
+        self.cycle_links = cycle_links
+        self.peak_stored = peak_stored
+        self.picked: list[WeightedEdge] | None = None
+        self.reason: str | None = None
+
+    def cycle_cover_weight(self) -> int | None:
+        """Weight of a minimum directed cover of the cycle by every link, or None.
+
+        Each junction and cycle link is offered in both directions, and a
+        link picked both ways counts once.  That is a feasible augmentation,
+        not an optimum.
+        """
+        # resolved through streamaug.oracles at call time, where the tracer wraps it
+        from .oracles import exact_directed_cycle_cover
+
+        arcs = []
+        for cl in self.unfolded.links + tuple(self.cycle_links):
+            arcs.append(Arc(cl.u, cl.v, cl.w, cl))
+            arcs.append(Arc(cl.v, cl.u, cl.w, cl))
+        try:
+            chosen, _ = exact_directed_cycle_cover(self.unfolded.length, arcs)
+        except Infeasible:
+            return None
+        return sum(e.w for e in _dedup_links(chosen))
+
+
+def augment_over_cactus(cactus: CactusGraph, links, epsilon) -> CactusAugmentation:
+    """Cover the min cuts a cactus folds with links, through the weighted cycle store.
+
+    The cactus is unfolded onto a cycle.  Its junction links go in first,
+    numbered 0..J-1, then each link whose ends phi maps to two different
+    cactus nodes, between the canonical positions of those nodes and
+    numbered on from J.  A link inside one cactus node crosses no folded
+    cut and is dropped.  The picked cycle links map back to the stream links
+    they came from.
+    """
+    unf = cactus_unfold(cactus)
+    state = WeightedAugState(unf.length, epsilon)
+    for zl in unf.links:
+        state.insert(zl)
+    back: dict[int, WeightedEdge] = {}
+    cycle_links: list[WeightedEdge] = []
+    for link in links:
+        cu, cv = cactus.phi[link.u], cactus.phi[link.v]
+        if cu == cv:
+            continue
+        mapped = WeightedEdge(
+            unf.position_of(cu), unf.position_of(cv), link.w, len(unf.links) + len(cycle_links)
+        )
+        back[mapped.arrival] = link
+        cycle_links.append(mapped)
+        state.insert(mapped)
+    aug = CactusAugmentation(unf, cycle_links, state.peak_stored)
+    try:
+        chosen, _ = state.finalize()
+    except Infeasible as exc:
+        aug.reason = str(exc)
+        return aug
+    aug.picked = [back[cl.arrival] for cl in chosen if cl.arrival in back]
+    return aug
 
 
 def kcap_link_arrival(
@@ -107,9 +196,10 @@ def kcap_link_arrival(
     """Augment a (k-1)-edge-connected base to k using streamed links.
 
     Either a base graph (with n and k; its min cut must be exactly k-1) or
-    a prebuilt cactus of the relevant cuts is accepted.  The cactus is
-    unfolded onto a cycle, links are mapped through phi onto positions,
-    and the weighted cycle store plus exact cycle cover give the answer.
+    a prebuilt cactus of the relevant cuts is accepted.  ``oracle_weight``
+    comes from exact_kcap in graph mode up to KCAP_MAX_LINKS links; past
+    that, and in cactus mode, it is null and with_oracle reports the
+    cycle-cover weight as ``details["cycle_cover_weight"]``.
     """
     links = list(links)
     if cactus is None:
@@ -124,90 +214,32 @@ def kcap_link_arrival(
                 f"base min cut is {mc}, augmentation to {k} needs exactly {k - 1}"
             )
         cactus = cactus_build(base_edges, n)
-    unf = cactus_unfold(cactus)
-    state = WeightedAugState(unf.length, epsilon)
-    for zl in unf.links:
-        state.insert(zl)
-    next_arrival = len(unf.links)
-    back: dict[int, WeightedEdge] = {}
-    dropped = 0
-    for link in links:
-        cu, cv = cactus.phi[link.u], cactus.phi[link.v]
-        if cu == cv:
-            dropped += 1
-            continue
-        mapped = WeightedEdge(
-            unf.position_of(cu), unf.position_of(cv), link.w, next_arrival
-        )
-        back[next_arrival] = link
-        next_arrival += 1
-        state.insert(mapped)
+    aug = augment_over_cactus(cactus, links, epsilon)
+    peaks = {"aug_store": aug.peak_stored}
     details = {
-        "cycle_length": unf.length,
-        "dropped_links": dropped,
-        "junction_links": len(unf.links),
+        "cycle_length": aug.unfolded.length,
+        "dropped_links": len(links) - len(aug.cycle_links),
+        "junction_links": len(aug.unfolded.links),
     }
-    try:
-        cycle_links, cycle_weight = state.finalize()
-    except Infeasible as exc:
-        details["reason"] = str(exc)
-        return PipelineReport(
-            output=[],
-            total_weight=0,
-            peak_stored={"aug_store": state.peak_stored},
-            feasible=False,
-            details=details,
-        )
-    chosen = [back[cl.arrival] for cl in cycle_links if cl.arrival in back]
-    details["cycle_weight"] = cycle_weight
+    if aug.picked is None:
+        details["reason"] = aug.reason
+        return PipelineReport([], 0, peaks, False, details=details)
+    total = sum(e.w for e in aug.picked)
+    details["cycle_weight"] = total
     oracle_weight = None
     if with_oracle:
         if base_edges is not None and len(links) <= KCAP_MAX_LINKS:
-            try:
-                _, oracle_weight = exact_kcap(
-                    AugmentationInstance(n=n, k=k, base=base_edges, links=links)
-                )
-            except Infeasible:
-                oracle_weight = None
+            oracle_weight = _kcap_optimum(n, k, base_edges, links)
         else:
-            oracle_weight = _cycle_oracle(unf, cactus, links)
+            details["cycle_cover_weight"] = aug.cycle_cover_weight()
     return PipelineReport(
-        output=chosen,
-        total_weight=sum(e.w for e in chosen),
-        peak_stored={"aug_store": state.peak_stored},
+        output=aug.picked,
+        total_weight=total,
+        peak_stored=peaks,
         feasible=True,
         oracle_weight=oracle_weight,
         details=details,
     )
-
-
-def _cycle_oracle(unf, cactus: CactusGraph, links) -> int | None:
-    """Exact optimum over the unfolded cycle with every link available."""
-    from .graph_core import Arc
-    from .oracles import exact_directed_cycle_cover
-
-    arcs = []
-    for zl in unf.links:
-        arcs.append(Arc(zl.u, zl.v, 0, zl))
-        arcs.append(Arc(zl.v, zl.u, 0, zl))
-    for link in links:
-        cu, cv = cactus.phi[link.u], cactus.phi[link.v]
-        if cu == cv:
-            continue
-        pu, pv = unf.position_of(cu), unf.position_of(cv)
-        arcs.append(Arc(pu, pv, link.w, link))
-        arcs.append(Arc(pv, pu, link.w, link))
-    try:
-        chosen, _ = exact_directed_cycle_cover(unf.length, arcs)
-    except Infeasible:
-        return None
-    seen = set()
-    total = 0
-    for a in chosen:
-        if a.origin is not None and a.origin.arrival not in seen:
-            seen.add(a.origin.arrival)
-            total += a.origin.w
-    return total
 
 
 def kcap_fully_streaming(
@@ -247,14 +279,7 @@ def kcap_fully_streaming(
     except Infeasible as exc:
         details["reason"] = str(exc)
         return PipelineReport([], 0, peaks, False, details=details)
-    oracle_weight = None
-    if with_oracle and len(links_all) <= KCAP_MAX_LINKS:
-        try:
-            _, oracle_weight = exact_kcap(
-                AugmentationInstance(n=n, k=k, base=base_all, links=links_all)
-            )
-        except Infeasible:
-            oracle_weight = None
+    oracle_weight = _kcap_optimum(n, k, base_all, links_all) if with_oracle else None
     return PipelineReport(
         output=chosen,
         total_weight=weight,
@@ -417,46 +442,20 @@ def kecss(
             continue
         base = list(chosen)
         cac = cactus_build(base, n)
-        unf = cactus_unfold(cac)
-        state = WeightedAugState(unf.length, epsilon)
-        for zl in unf.links:
-            state.insert(zl)
-        next_arrival = len(unf.links)
-        back: dict[int, WeightedEdge] = {}
-        remaining: list[WeightedEdge] = []
-        for e in stream.replay():
-            if e.arrival in chosen_arrivals:
-                continue
-            remaining.append(e)
-            cu, cv = cac.phi[e.u], cac.phi[e.v]
-            if cu == cv:
-                continue
-            mapped = WeightedEdge(
-                unf.position_of(cu), unf.position_of(cv), e.w, next_arrival
-            )
-            back[next_arrival] = e
-            next_arrival += 1
-            state.insert(mapped)
-        peaks[f"pass_{level}"] = state.peak_stored
-        try:
-            cycle_links, _ = state.finalize()
-        except Infeasible as exc:
-            details["reason"] = f"pass {level}: {exc}"
+        remaining = [e for e in stream.replay() if e.arrival not in chosen_arrivals]
+        aug = augment_over_cactus(cac, remaining, epsilon)
+        peaks[f"pass_{level}"] = aug.peak_stored
+        if aug.picked is None:
+            details["reason"] = f"pass {level}: {aug.reason}"
             return PipelineReport(
                 chosen, sum(e.w for e in chosen), peaks, False, details=details
             )
-        picked = [back[cl.arrival] for cl in cycle_links if cl.arrival in back]
-        details["pass_weights"][f"pass_{level}"] = sum(e.w for e in picked)
-        if with_oracle and len(remaining) <= KCAP_MAX_LINKS:
-            try:
-                _, ow = exact_kcap(
-                    AugmentationInstance(n=n, k=level, base=base, links=remaining)
-                )
-                details["pass_oracles"][f"pass_{level}"] = ow
-            except Infeasible:
-                pass
-        chosen.extend(picked)
-        chosen_arrivals.update(e.arrival for e in picked)
+        details["pass_weights"][f"pass_{level}"] = sum(e.w for e in aug.picked)
+        ow = _kcap_optimum(n, level, base, remaining) if with_oracle else None
+        if ow is not None:
+            details["pass_oracles"][f"pass_{level}"] = ow
+        chosen.extend(aug.picked)
+        chosen_arrivals.update(e.arrival for e in aug.picked)
     feasible = edge_connectivity_at_least(chosen, n, k)
     return PipelineReport(
         output=chosen,

@@ -200,7 +200,9 @@ def test_cli_link_arrival_cactus_mode(tmp_path, capsys):
     )
     assert code == 0
     assert report["output_weight"] == 2
-    assert report["oracle_weight"] == 2
+    assert report["oracle_weight"] is None
+    assert report["ratio"] is None
+    assert report["details"]["cycle_cover_weight"] == 2
 
 
 def test_cli_cactus_mode_refuses_base_edges(tmp_path, capsys):

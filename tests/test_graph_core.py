@@ -18,6 +18,7 @@ from streamaug.graph_core import (
     edge_connectivity_at_least,
     is_connected,
     side_bits,
+    side_classes,
     side_membership,
 )
 
@@ -234,3 +235,30 @@ def test_side_bits_guards():
         side_bits(0)
     with pytest.raises(SizeGuardError):
         side_bits(25)
+
+
+def _bit_walk_classes(masks, n):
+    """Per vertex, the smallest vertex with the same bit signature over masks."""
+    sig = [0] * n
+    for pos, mask in enumerate(masks):
+        v = 1
+        while mask:
+            if mask & 1:
+                sig[v] |= 1 << pos
+            mask >>= 1
+            v += 1
+    first: dict[int, int] = {}
+    return [first.setdefault(s, v) for v, s in enumerate(sig)]
+
+
+@st.composite
+def _mask_list(draw):
+    n = draw(st.integers(1, 12))
+    return n, draw(st.lists(st.integers(0, (1 << (n - 1)) - 1), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mask_list())
+def test_side_classes_match_the_bit_walk_signatures(case):
+    n, masks = case
+    assert side_classes(masks, n) == _bit_walk_classes(masks, n)

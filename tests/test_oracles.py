@@ -59,6 +59,18 @@ def test_kcap_rejects_underconnected_base():
         AugmentationInstance(n=4, k=3, base=[(0, 1), (1, 2), (2, 3)], links=[])
 
 
+def test_kcap_refuses_endpoints_outside_the_vertex_range():
+    # cut_size_table reads such an end as lying outside every side, so a
+    # base edge (-1, 2) would pass as (0, 2) and one chord would look enough
+    links = _links([(0, 2, 1), (1, 3, 1)])
+    for base in (C4 + [(-1, 2)], C4 + [(2, 4)]):
+        with pytest.raises(ValueError, match="out of range"):
+            AugmentationInstance(n=4, k=3, base=base, links=links)
+    for bad in _links([(0, 4, 1), (-1, 2, 1)]):
+        with pytest.raises(ValueError, match="out of range"):
+            AugmentationInstance(n=4, k=3, base=C4, links=links + [bad])
+
+
 def test_kcap_link_count_guard():
     many = _links([(0, 1, 1)] * 23)
     with pytest.raises(SizeGuardError):
