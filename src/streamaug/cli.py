@@ -7,6 +7,13 @@ assigned by record order.  Every command writes a JSON report (stdout or
 --report) and exits 0 on success, 2 when the instance is infeasible, 3
 when a size guard refuses the exact solve, and 4 on malformed input or
 usage.
+
+Every command is one function of this module that returns a
+PipelineReport, and one builder turns that into the JSON report, so
+``ratio`` is ``output_weight / oracle_weight`` in every report.  The
+``spanner``, ``sndp`` and ``oracle`` functions stay here rather than in
+pipelines: they call ``solve_sndp``, ``exact_sndp`` and ``exact_kcap``
+through this module's names, which is where benchmark/spans.py wraps them.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .pipelines import (
     kcap_fully_streaming,
     kcap_link_arrival,
     kecss,
-    ratio_of,
     stap_fully_streaming,
 )
 from .sndp_coreset import Cascade, Requirements, solve_sndp
@@ -120,13 +126,6 @@ def write_stream(parsed: ParsedStream) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _links_text(n: int, links) -> str:
-    lines = [f"header n={n}"]
-    for e in links:
-        lines.append(f"L {e.u} {e.v} {e.w}")
-    return "\n".join(lines) + "\n"
-
-
 class _UsageError(Exception):
     pass
 
@@ -190,195 +189,158 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _need_k(args, parsed: ParsedStream) -> int:
+def _need_k(args, parsed: ParsedStream, params: dict) -> int:
     k = args.k if args.k is not None else parsed.k
     if k is None:
         raise _UsageError(f"{args.command} needs k (flag --k or header)")
+    params["k"] = k
     return k
 
 
-def _report_skeleton(command: str, n: int) -> dict:
-    return {
-        "command": command,
-        "feasible": True,
-        "n": n,
-        "oracle_weight": None,
-        "output_size": 0,
-        "output_weight": 0,
-        "parameters": {"epsilon": None, "k": None, "t": None, "terminals": None},
-        "peak_stored": {},
-        "ratio": None,
-        "details": {},
-    }
+def _requirements(args, parsed: ParsedStream) -> Requirements:
+    with open(args.requirements) as fh:
+        return Requirements.parse(fh.read(), parsed.n)
 
 
-def _fill_pipeline(report: dict, result: PipelineReport) -> list[WeightedEdge]:
-    report["feasible"] = result.feasible
-    report["output_size"] = len(result.output)
-    report["output_weight"] = result.total_weight
-    report["peak_stored"] = dict(result.peak_stored)
-    report["oracle_weight"] = result.oracle_weight
-    report["ratio"] = result.ratio
-    report["details"] = result.details
-    return result.output
+def _spanner(args, parsed: ParsedStream, params: dict) -> PipelineReport:
+    st = SpannerState(parsed.n, args.t, args.epsilon)
+    for e in parsed.edges():
+        st.insert(e)
+    return PipelineReport(st.edges(), st.total_weight(), {"spanner": st.peak_stored}, True)
+
+
+def _kcap_link(args, parsed: ParsedStream, params: dict) -> PipelineReport:
+    if args.cactus:
+        with open(args.cactus) as fh:
+            cac = parse_cactus(fh.read())
+        if parsed.base_edges():
+            raise StreamFormatError(1, "cactus mode stream cannot carry base edges")
+        params["k"] = args.k
+        mode = {"cactus": cac}
+    else:
+        k = _need_k(args, parsed, params)
+        mode = {"base_edges": parsed.base_edges(), "n": parsed.n, "k": k}
+    return kcap_link_arrival(
+        parsed.links(), epsilon=args.epsilon, with_oracle=args.with_oracle, **mode
+    )
+
+
+def _kcap_full(args, parsed: ParsedStream, params: dict) -> PipelineReport:
+    k = _need_k(args, parsed, params)
+    return kcap_fully_streaming(
+        parsed.events, parsed.n, k, t=args.t, epsilon=args.epsilon, with_oracle=args.with_oracle
+    )
+
+
+def _stap(args, parsed: ParsedStream, params: dict) -> PipelineReport:
+    try:
+        terminals = [int(x) for x in args.terminals.split(",") if x != ""]
+    except ValueError:
+        raise _UsageError(f"bad terminal list {args.terminals!r}")
+    params["terminals"] = terminals
+    return stap_fully_streaming(
+        parsed.events,
+        parsed.n,
+        terminals,
+        t=args.t,
+        epsilon=args.epsilon,
+        with_oracle=args.with_oracle,
+    )
+
+
+def _sndp(args, parsed: ParsedStream, params: dict) -> PipelineReport:
+    k = _need_k(args, parsed, params)
+    reqs = _requirements(args, parsed)
+    cascade = Cascade(parsed.n, k, args.t, args.epsilon)
+    for e in parsed.edges():
+        cascade.insert(e)
+    peaks = {f"layer_{i}": cascade.layer_state(i).peak_stored for i in range(1, k + 1)}
+    try:
+        sol = solve_sndp(cascade, reqs)
+    except Infeasible:
+        return PipelineReport([], 0, peaks, False)
+    oracle_weight = None
+    if args.with_oracle:
+        try:
+            _, oracle_weight = exact_sndp(parsed.n, parsed.edges(), reqs)
+        except Infeasible:
+            pass
+    details = {"phase_weights": [sum(e.w for e in ph) for ph in sol.phases]}
+    return PipelineReport(
+        list(sol.edges), sol.weight, peaks, True, oracle_weight=oracle_weight, details=details
+    )
+
+
+def _kecss(args, parsed: ParsedStream, params: dict) -> PipelineReport:
+    k = _need_k(args, parsed, params)
+    stream = ReplayableStream(parsed.edges())
+    result = kecss(stream, parsed.n, k, epsilon=args.epsilon, with_oracle=args.with_oracle)
+    result.details["passes"] = stream.passes
+    return result
+
+
+def _oracle(args, parsed: ParsedStream, params: dict) -> PipelineReport:
+    try:
+        if args.requirements:
+            chosen, weight = exact_sndp(parsed.n, parsed.edges(), _requirements(args, parsed))
+        else:
+            k = _need_k(args, parsed, params)
+            instance = AugmentationInstance(
+                n=parsed.n, k=k, base=parsed.base_edges(), links=parsed.links()
+            )
+            chosen, weight = exact_kcap(instance)
+    except Infeasible:
+        return PipelineReport([], 0, {}, False)
+    return PipelineReport(chosen, weight, {}, True, oracle_weight=weight)
+
+
+# Values are this module's own functions: they look the tracer-wrapped names
+# (kcap_link_arrival, solve_sndp, exact_kcap, ...) up when called.
+_COMMANDS = {
+    "spanner": _spanner,
+    "kcap-link": _kcap_link,
+    "kcap-full": _kcap_full,
+    "stap": _stap,
+    "sndp": _sndp,
+    "kecss": _kecss,
+    "oracle": _oracle,
+}
 
 
 def _dispatch(args) -> tuple[dict, list[WeightedEdge]]:
     with open(args.stream) as fh:
         parsed = parse_stream(fh.read())
-    report = _report_skeleton(args.command, parsed.n)
-    params = report["parameters"]
-
-    if args.command == "spanner":
-        params["t"] = args.t
-        params["epsilon"] = args.epsilon
-        st = SpannerState(parsed.n, args.t, args.epsilon)
-        for e in parsed.edges():
-            st.insert(e)
-        kept = st.edges()
-        report["output_size"] = len(kept)
-        report["output_weight"] = st.total_weight()
-        report["peak_stored"] = {"spanner": st.peak_stored}
-        return report, kept
-
-    if args.command == "kcap-link":
-        params["epsilon"] = args.epsilon
-        if args.cactus:
-            with open(args.cactus) as fh:
-                cac = parse_cactus(fh.read())
-            if parsed.base_edges():
-                raise StreamFormatError(1, "cactus mode stream cannot carry base edges")
-            params["k"] = args.k
-            mode = {"cactus": cac}
-        else:
-            params["k"] = _need_k(args, parsed)
-            mode = {"base_edges": parsed.base_edges(), "n": parsed.n, "k": params["k"]}
-        result = kcap_link_arrival(
-            parsed.links(), epsilon=args.epsilon, with_oracle=args.with_oracle, **mode
-        )
-        return report, _fill_pipeline(report, result)
-
-    if args.command == "kcap-full":
-        k = _need_k(args, parsed)
-        params.update({"k": k, "t": args.t, "epsilon": args.epsilon})
-        result = kcap_fully_streaming(
-            parsed.events,
-            parsed.n,
-            k,
-            t=args.t,
-            epsilon=args.epsilon,
-            with_oracle=args.with_oracle,
-        )
-        return report, _fill_pipeline(report, result)
-
-    if args.command == "stap":
-        try:
-            terminals = [int(x) for x in args.terminals.split(",") if x != ""]
-        except ValueError:
-            raise _UsageError(f"bad terminal list {args.terminals!r}")
-        params.update({"t": args.t, "epsilon": args.epsilon, "terminals": terminals})
-        result = stap_fully_streaming(
-            parsed.events,
-            parsed.n,
-            terminals,
-            t=args.t,
-            epsilon=args.epsilon,
-            with_oracle=args.with_oracle,
-        )
-        return report, _fill_pipeline(report, result)
-
-    if args.command == "sndp":
-        k = _need_k(args, parsed)
-        params.update({"k": k, "t": args.t, "epsilon": args.epsilon})
-        with open(args.requirements) as fh:
-            reqs = Requirements.parse(fh.read(), parsed.n)
-        cascade = Cascade(parsed.n, k, args.t, args.epsilon)
-        for e in parsed.edges():
-            cascade.insert(e)
-        report["peak_stored"] = {
-            f"layer_{i}": cascade.layer_state(i).peak_stored for i in range(1, k + 1)
-        }
-        try:
-            sol = solve_sndp(cascade, reqs)
-        except Infeasible:
-            report["feasible"] = False
-            return report, []
-        report["output_size"] = len(sol.edges)
-        report["output_weight"] = sol.weight
-        report["details"] = {
-            "phase_weights": [sum(e.w for e in ph) for ph in sol.phases]
-        }
-        if args.with_oracle:
-            try:
-                _, ow = exact_sndp(parsed.n, parsed.edges(), reqs)
-                report["oracle_weight"] = ow
-                report["ratio"] = ratio_of(sol.weight, ow)
-            except Infeasible:
-                pass
-        return report, list(sol.edges)
-
-    if args.command == "kecss":
-        k = _need_k(args, parsed)
-        params.update({"k": k, "epsilon": args.epsilon})
-        stream = ReplayableStream(parsed.edges())
-        result = kecss(
-            stream,
-            parsed.n,
-            k,
-            epsilon=args.epsilon,
-            with_oracle=args.with_oracle,
-        )
-        out = _fill_pipeline(report, result)
-        report["details"]["passes"] = stream.passes
-        return report, out
-
-    if args.command == "oracle":
-        if args.requirements:
-            with open(args.requirements) as fh:
-                reqs = Requirements.parse(fh.read(), parsed.n)
-            try:
-                chosen, weight = exact_sndp(parsed.n, parsed.edges(), reqs)
-            except Infeasible:
-                report["feasible"] = False
-                return report, []
-            report["output_size"] = len(chosen)
-            report["output_weight"] = weight
-            report["oracle_weight"] = weight
-            return report, chosen
-        k = _need_k(args, parsed)
-        params["k"] = k
-        instance = AugmentationInstance(
-            n=parsed.n, k=k, base=parsed.base_edges(), links=parsed.links()
-        )
-        try:
-            chosen, weight = exact_kcap(instance)
-        except Infeasible:
-            report["feasible"] = False
-            return report, []
-        report["output_size"] = len(chosen)
-        report["output_weight"] = weight
-        report["oracle_weight"] = weight
-        return report, chosen
-
-    raise _UsageError(f"unknown command {args.command!r}")
+    params = {
+        "epsilon": getattr(args, "epsilon", None),
+        "k": None,
+        "t": getattr(args, "t", None),
+        "terminals": None,
+    }
+    result = _COMMANDS[args.command](args, parsed, params)
+    report = {
+        "command": args.command,
+        "feasible": result.feasible,
+        "n": parsed.n,
+        "oracle_weight": result.oracle_weight,
+        "output_size": len(result.output),
+        "output_weight": result.total_weight,
+        "parameters": params,
+        "peak_stored": dict(result.peak_stored),
+        "ratio": result.ratio,
+        "details": result.details,
+    }
+    return report, result.output
 
 
 def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 4
-    try:
         report, output = _dispatch(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 4
-    except StreamFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 4
-    except FileNotFoundError as exc:
+    except (StreamFormatError, FileNotFoundError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
@@ -395,8 +357,9 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     if args.output:
+        chosen = [StreamEvent("L", e) for e in output]
         with open(args.output, "w") as fh:
-            fh.write(_links_text(report["n"], output))
+            fh.write(write_stream(ParsedStream(report["n"], None, chosen)))
     return 0 if report["feasible"] else 2
 
 

@@ -133,8 +133,8 @@ class WeightedAugState:
     """
 
     def __init__(self, n: int, epsilon):
-        if n < 3:
-            raise ValueError(f"weighted cycle store needs n >= 3, got {n}")
+        if n < 2:
+            raise ValueError(f"weighted cycle store needs n >= 2, got {n}")
         eps = as_fraction(epsilon)
         if not 0 < eps <= 1:
             raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")

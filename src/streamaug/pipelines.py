@@ -333,19 +333,12 @@ def stap_fully_streaming(
     peaks = {"spanner": spanner.peak_stored}
 
     def design(link_pool):
-        combined = []
-        origin = {}
-        for i, e in enumerate(base_edges):
-            copy = WeightedEdge(e.u, e.v, 0, i)
-            combined.append(copy)
-            origin[i] = ("base", e)
-        for j, e in enumerate(link_pool):
-            copy = WeightedEdge(e.u, e.v, e.w, len(base_edges) + j)
-            combined.append(copy)
-            origin[copy.arrival] = ("link", e)
+        # free base copies take arrivals 0..B-1 and the links B.., in order
+        b = len(base_edges)
+        combined = [WeightedEdge(e.u, e.v, 0, i) for i, e in enumerate(base_edges)]
+        combined += [WeightedEdge(e.u, e.v, e.w, b + j) for j, e in enumerate(link_pool)]
         chosen, weight = exact_sndp(n, combined, reqs)
-        picked = [origin[c.arrival][1] for c in chosen if origin[c.arrival][0] == "link"]
-        return picked, weight
+        return [link_pool[c.arrival - b] for c in chosen if c.arrival >= b], weight
 
     details = {"kept_links": spanner.stored_count, "terminals": terminals}
     try:

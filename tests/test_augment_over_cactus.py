@@ -287,7 +287,7 @@ def _outcome(pipeline, *args, **kwargs):
 
 @pytest.mark.parametrize("mode", ["graph", "cactus"])
 def test_link_arrival_matches_the_pasted_block(mode):
-    seen = {"cover": 0, "infeasible": 0, "dropped": 0, "collided": 0, "refused": 0}
+    seen = {"cover": 0, "infeasible": 0, "dropped": 0, "collided": 0}
     for base, n, k, links, with_oracle in _link_arrival_cases():
         if mode == "graph":
             kwargs = {"base_edges": base, "n": n, "k": k}
@@ -295,10 +295,7 @@ def test_link_arrival_matches_the_pasted_block(mode):
             kwargs = {"cactus": cactus_build(base, n)}
         old = _outcome(_reference_kcap_link_arrival, links, with_oracle=with_oracle, **kwargs)
         new = _outcome(kcap_link_arrival, links, with_oracle=with_oracle, **kwargs)
-        if isinstance(new, tuple):
-            assert new == old
-            seen["refused"] += 1
-            continue
+        assert not isinstance(new, tuple), new
         if "cycle_cover_weight" in new.details:
             assert with_oracle and new.feasible
             assert mode == "cactus" or len(links) > KCAP_MAX_LINKS

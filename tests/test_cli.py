@@ -376,6 +376,24 @@ def test_cli_invalid_instance_exits_four(capsys):
     assert "invalid instance" in err
 
 
+@pytest.mark.parametrize(
+    "text,argv,weight",
+    [
+        ("header n=2 k=2\nE 0 1 1\nL 0 1 5\nL 0 1 3\n", ["kcap-link"], 3),
+        ("header n=2 k=2\nL 0 1 4\nL 0 1 3\nL 0 1 9\n", ["kecss"], 7),
+    ],
+    ids=["kcap-link", "kecss"],
+)
+def test_cli_one_minimum_cut_augments_over_a_two_cycle(tmp_path, capsys, text, argv, weight):
+    # a base with exactly one minimum cut has a two-node cactus, whose
+    # unfolded cycle has length 2 and the single interval [1, 1]
+    stream = tmp_path / "pair.txt"
+    stream.write_text(text)
+    code, report = _report(argv + [str(stream), "--epsilon", "0.5"], capsys)
+    assert code == 0
+    assert report["output_weight"] == weight
+
+
 def test_cli_underconnected_base_exits_four_in_both_kcap_commands(tmp_path, capsys):
     # a path is only one-edge-connected, so it is no base for k=3
     stream = tmp_path / "path_base.txt"

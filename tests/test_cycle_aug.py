@@ -166,7 +166,7 @@ def test_unweighted_finalize_within_twice_optimum():
 
 def test_weighted_store_parameter_validation():
     with pytest.raises(ValueError):
-        WeightedAugState(2, Fraction(1, 2))
+        WeightedAugState(1, Fraction(1, 2))
     with pytest.raises(ValueError):
         WeightedAugState(5, 0)
     with pytest.raises(ValueError):

@@ -48,6 +48,7 @@ CASES = {
         "--with-oracle",
     ],
     "kcap-link-infeasible": ["kcap-link", "@ring4_one_chord.txt", *EPS, "--with-oracle"],
+    "kcap-link-two-nodes": ["kcap-link", "@pair_base.txt", *EPS, "--with-oracle"],
     "kcap-full-oracle": ["kcap-full", "@ring4_chords.txt", *T2, *EPS, "--with-oracle"],
     "kcap-full-infeasible": ["kcap-full", "@ring4_one_chord.txt", *T2, *EPS, "--with-oracle"],
     "stap-oracle": [
@@ -62,6 +63,7 @@ CASES = {
     ],
     "kecss-oracle": ["kecss", "@clique4.txt", *EPS, "--with-oracle"],
     "kecss-bowtie-k2": ["kecss", "@bowtie5.txt", "--k", "2", *EPS, "--with-oracle"],
+    "kecss-two-nodes": ["kecss", "@pair_links.txt", *EPS, "--with-oracle"],
     "oracle-augmentation": ["oracle", "@ring4_chords.txt"],
     "oracle-augmentation-infeasible": ["oracle", "@ring4_one_chord.txt"],
     "oracle-design": ["oracle", "@clique4.txt", "--requirements", "@reqs_all2.txt"],
