@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,9 @@ from streamaug.graph_core import (
     Partition,
     UnionFind,
     connected_components,
+    cut_size_table,
     edge_connectivity_at_least,
+    edge_ends,
     is_connected,
     side_bits,
     side_classes,
@@ -80,9 +83,9 @@ def test_three_edge_components_agrees_with_pairwise_flow():
             assert p.same(u, v) == (flow >= 3), (trial, edges, u, v, flow)
 
 
-def test_three_edge_components_both_routes_agree():
-    # n = 18 takes the cut-table route, n = 19 the pairwise-flow route; a
-    # graph embedded in both sizes must get the same classes.
+def test_three_edge_components_unchanged_by_an_isolated_vertex():
+    # the same graph at n = 18 and with an isolated vertex 18 added must
+    # give the same classes on its own 18 vertices
     rng = random.Random(902)
     for _ in range(20):
         edges = support.random_multigraph(rng, 18, 30)
@@ -113,13 +116,69 @@ def test_edge_connectivity_agrees_with_networkx():
             assert edge_connectivity_at_least(edges, n, k) == (k <= conn)
 
 
-def test_edge_connectivity_flow_route_matches_table_route():
+def test_edge_connectivity_agrees_with_networkx_at_twenty_vertices():
     rng = random.Random(31)
     for _ in range(12):
         edges = support.random_two_connected_graph(rng, 20, 10)
         conn = support.nx_edge_connectivity(edges, 20)
         assert edge_connectivity_at_least(edges, 20, conn)
         assert not edge_connectivity_at_least(edges, 20, conn + 1)
+
+
+# -- capped flow against the cut table ----------------------------------------
+
+
+def _table_at_least(edges, n, k):
+    """k-edge-connectivity read off the table of every cut's size."""
+    return k <= 0 or int(cut_size_table(edges, n)[1:].min()) >= k
+
+
+def _table_three_ecc(edges, n):
+    """Vertices grouped by the sides of size at most 2 that hold them."""
+    return Partition(side_classes(np.flatnonzero(cut_size_table(edges, n)[1:] <= 2) + 1, n))
+
+
+def _route_graphs(rng, n):
+    """Empty, sparse, disconnected, cyclic and dense multigraphs on n vertices."""
+    yield []
+    yield support.random_multigraph(rng, n, rng.randint(1, n))
+    if n >= 4:
+        half = n // 2
+        left = support.random_two_connected_graph(rng, half, half)
+        right = support.random_two_connected_graph(rng, n - half, n - half)
+        yield left + [(u + half, v + half) for u, v in right]
+    yield support.random_two_connected_graph(rng, n, rng.randint(0, n))
+    yield support.random_connected_graph(rng, n, rng.randint(n, 3 * n))
+    yield support.random_multigraph(rng, n, 3 * n)
+
+
+def test_connectivity_routes_match_the_cut_table():
+    rng = random.Random(3110)
+    seen = {"loops": 0, "parallel": 0, "weighted": 0, "split": 0, "classes": 0}
+    for n in range(2, 19):
+        for edges in _route_graphs(rng, n):
+            edges = list(edges)
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                edges.insert(rng.randrange(len(edges) + 1), (rng.randrange(n),) * 2)
+            if edges and rng.random() < 0.5:
+                edges.extend(rng.sample(edges, rng.randint(1, len(edges))))
+            if rng.random() < 0.5:
+                edges = [WeightedEdge(u, v, rng.randint(0, 9), i) for i, (u, v) in enumerate(edges)]
+                seen["weighted"] += 1
+            pairs = [tuple(sorted(edge_ends(e))) for e in edges]
+            seen["loops"] += any(u == v for u, v in pairs)
+            seen["parallel"] += len(set(pairs)) < len(pairs)
+            seen["split"] += not is_connected(edges, n)
+            for k in range(5):
+                assert edge_connectivity_at_least(edges, n, k) == _table_at_least(edges, n, k), (
+                    n,
+                    k,
+                    edges,
+                )
+            part = three_edge_components(edges, n)
+            assert part == _table_three_ecc(edges, n), (n, edges)
+            seen["classes"] += 1 < part.class_count < n
+    assert all(seen.values()), seen
 
 
 def test_cuts_of_size_at_most_c4():
