@@ -3,6 +3,9 @@
 Vertices are integers 0..n-1 throughout.  Graphs are undirected multigraphs
 given as edge lists; parallel edges are meaningful and kept distinct by
 arrival number.
+
+Capped max-flow decides k-edge-connectivity and 3-edge-components at every
+n; cut_size_table serves the exhaustive min-cut cactus and the oracles.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from .errors import SizeGuardError
 
 # Exhaustive cut enumeration walks all 2^(n-1) vertex sides.
 CUT_ENUM_MAX_N = 24
-# Above this the pairwise max-flow route for 3-edge-components refuses to run.
+# Above this the pairwise max-flow of 3-edge-components refuses to run.
 THREE_ECC_MAX_N = 64
-_TABLE_MAX_N = 18
 
 
 @dataclass(frozen=True)
@@ -200,8 +202,12 @@ def cut_size_table(edges, n: int) -> np.ndarray:
     members are the vertices i >= 1 with bit (i-1) set.  Index 0 (the empty
     side) is not a proper cut; callers skip it.
     """
-    if n < 1 or n > CUT_ENUM_MAX_N:
-        raise SizeGuardError(f"cut enumeration needs 1 <= n <= {CUT_ENUM_MAX_N}, got {n}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > CUT_ENUM_MAX_N:
+        raise SizeGuardError(f"cut enumeration needs n <= {CUT_ENUM_MAX_N}, got {n}")
+    edges = list(edges)
+    check_endpoints(edges, n)
     masks = np.arange(1 << (n - 1), dtype=np.uint32)
     sizes = np.zeros(len(masks), dtype=np.uint32)
     for e in edges:
@@ -331,15 +337,11 @@ def _flow_value_capped(cap: dict[int, dict[int, int]], s: int, t: int, limit: in
 
 
 def edge_connectivity_at_least(edges, n: int, k: int) -> bool:
-    """Whether the multigraph is k-edge-connected."""
+    """Whether the multigraph is k-edge-connected, by flows capped at k from vertex 0."""
+    edges = list(edges)
+    check_endpoints(edges, n)
     if k <= 0 or n <= 1:
         return True
-    edges = list(edges)
-    if len(edges) == 0:
-        return False
-    if n <= _TABLE_MAX_N:
-        sizes = cut_size_table(edges, n)
-        return int(sizes[1:].min()) >= k
     cap = _capacity_map(edges, n)
     if any(sum(nbrs.values()) < k for nbrs in cap.values()):
         return False
@@ -349,16 +351,11 @@ def edge_connectivity_at_least(edges, n: int, k: int) -> bool:
 def three_edge_components(edges, n: int) -> Partition:
     """Partition vertices into classes pairwise connected by 3 edge-disjoint paths.
 
-    Two routes: small graphs group vertices by their membership pattern over
-    all cuts of size at most 2 (two vertices are 3-connected exactly when no
-    such cut separates them); larger graphs fall back to pairwise capped
-    max-flow with merged classes skipped.
+    Pairwise max-flow capped at 3, skipping pairs already merged and pairs
+    in different connected components.
     """
     edges = list(edges)
     check_endpoints(edges, n)
-    if n <= _TABLE_MAX_N:
-        sizes = cut_size_table(edges, n)
-        return Partition(side_classes(np.flatnonzero(sizes[1:] <= 2) + 1, n))
     if n > THREE_ECC_MAX_N:
         raise SizeGuardError(f"3-edge-components needs n <= {THREE_ECC_MAX_N}, got {n}")
     cap = _capacity_map(edges, n)

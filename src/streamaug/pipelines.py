@@ -25,7 +25,7 @@ from .graph_core import (
     Arc,
     UnionFind,
     WeightedEdge,
-    cut_size_table,
+    cut_size_table,  # noqa: F401  (benchmark/spans.py wraps it here)
     edge_connectivity_at_least,
     is_connected,
 )
@@ -103,11 +103,6 @@ def _kcap_optimum(n: int, k: int, base, links) -> int | None:
         return exact_kcap(AugmentationInstance(n=n, k=k, base=base, links=links))[1]
     except Infeasible:
         return None
-
-
-def _min_cut_value(edges, n: int) -> int:
-    sizes = cut_size_table(edges, n)
-    return int(sizes[1:].min())
 
 
 class CactusAugmentation:
@@ -208,11 +203,11 @@ def kcap_link_arrival(
         base_edges = list(base_edges)
         if not is_connected(base_edges, n):
             raise ValueError("base graph must be connected")
-        mc = _min_cut_value(base_edges, n)
-        if mc != k - 1:
-            raise ValueError(
-                f"base min cut is {mc}, augmentation to {k} needs exactly {k - 1}"
-            )
+        exact = edge_connectivity_at_least(base_edges, n, k - 1) and not (
+            edge_connectivity_at_least(base_edges, n, k)
+        )
+        if not exact:
+            raise ValueError(f"augmentation to {k} needs a base min cut of exactly {k - 1}")
         cactus = cactus_build(base_edges, n)
     aug = augment_over_cactus(cactus, links, epsilon)
     peaks = {"aug_store": aug.peak_stored}

@@ -395,17 +395,20 @@ def test_cli_one_minimum_cut_augments_over_a_two_cycle(tmp_path, capsys, text, a
 
 
 def test_cli_underconnected_base_exits_four_in_both_kcap_commands(tmp_path, capsys):
-    # a path is only one-edge-connected, so it is no base for k=3
-    stream = tmp_path / "path_base.txt"
-    stream.write_text("header n=4 k=3\nE 0 1 1\nE 1 2 1\nE 2 3 1\nL 0 3 1\nL 0 2 1\n")
-    for argv in (
-        ["kcap-link", str(stream), "--epsilon", "0.5"],
-        ["kcap-full", str(stream), "--t", "2", "--epsilon", "0.5"],
-    ):
-        code, out, err = _run(argv, capsys)
-        assert code == 4, argv
-        assert out == ""
-        assert "invalid instance" in err
+    # a path is only one-edge-connected, so it is no base for k=3; at 26
+    # vertices it is also past the 24-vertex guard of the cut table
+    for n in (4, 26):
+        stream = tmp_path / f"path{n}_base.txt"
+        base = "".join(f"E {i} {i + 1} 1\n" for i in range(n - 1))
+        stream.write_text(f"header n={n} k=3\n{base}L 0 {n - 1} 1\nL 0 2 1\n")
+        for argv in (
+            ["kcap-link", str(stream), "--epsilon", "0.5"],
+            ["kcap-full", str(stream), "--t", "2", "--epsilon", "0.5"],
+        ):
+            code, out, err = _run(argv, capsys)
+            assert code == 4, (n, argv)
+            assert out == ""
+            assert "invalid instance" in err
 
 
 def _same_report_with_and_without_oracle(argv, capsys):

@@ -327,15 +327,14 @@ def test_weighted_finalize_feasible_and_within_ratio():
         assert weight <= (2 + 6 * eps) * opt[0]
 
 
-# -- interval bitsets against the generic 3-edge-connectivity routes --------
+# -- interval bitsets against the generic 3-edge-connectivity route ---------
 
 
 class _ThreeEccStore(WeightedAugState):
     """The store screening through ``three_edge_components`` on every question.
 
     This is how the store worked before interval bitsets: each partition and
-    each kept link re-ran the generic routes (cut table up to n = 18,
-    pairwise max-flow above).
+    each kept link recomputed the 3-edge-connected components from scratch.
     """
 
     def partition(self, k):
@@ -404,7 +403,6 @@ def test_interval_bitsets_match_the_three_ecc_store_after_every_insert():
     epsilons = [Fraction(1, 40), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
     inserts = 0
     for trial in range(200):
-        # both generic routes: the cut table up to 18 vertices, flows above
         n = 3 + trial % 22
         eps = epsilons[trial % len(epsilons)]
         m = rng.randint(1, 40 if n <= 12 else 10 if n <= 18 else 6)

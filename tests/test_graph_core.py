@@ -116,6 +116,16 @@ def test_edge_connectivity_agrees_with_networkx():
             assert edge_connectivity_at_least(edges, n, k) == (k <= conn)
 
 
+def test_edge_connectivity_refuses_endpoints_outside_the_vertex_range():
+    # read as lying in no side, vertex 7 would leave the triangle 2-connected
+    with pytest.raises(ValueError, match="out of range"):
+        edge_connectivity_at_least(TRIANGLE + [(0, 7)], 3, 2)
+    ring = [(i, (i + 1) % 20) for i in range(20)]
+    for bad in ((0, 25), (-1, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            edge_connectivity_at_least(ring + [bad], 20, 2)
+
+
 def test_edge_connectivity_agrees_with_networkx_at_twenty_vertices():
     rng = random.Random(31)
     for _ in range(12):
@@ -130,7 +140,7 @@ def test_edge_connectivity_agrees_with_networkx_at_twenty_vertices():
 
 def _table_at_least(edges, n, k):
     """k-edge-connectivity read off the table of every cut's size."""
-    return k <= 0 or int(cut_size_table(edges, n)[1:].min()) >= k
+    return int(cut_size_table(edges, n)[1:].min()) >= k
 
 
 def _table_three_ecc(edges, n):
@@ -157,7 +167,6 @@ def test_connectivity_routes_match_the_cut_table():
     seen = {"loops": 0, "parallel": 0, "weighted": 0, "split": 0, "classes": 0}
     for n in range(2, 19):
         for edges in _route_graphs(rng, n):
-            edges = list(edges)
             for _ in range(rng.choice([0, 0, 1, 2])):
                 edges.insert(rng.randrange(len(edges) + 1), (rng.randrange(n),) * 2)
             if edges and rng.random() < 0.5:
@@ -170,11 +179,8 @@ def test_connectivity_routes_match_the_cut_table():
             seen["parallel"] += len(set(pairs)) < len(pairs)
             seen["split"] += not is_connected(edges, n)
             for k in range(5):
-                assert edge_connectivity_at_least(edges, n, k) == _table_at_least(edges, n, k), (
-                    n,
-                    k,
-                    edges,
-                )
+                got = edge_connectivity_at_least(edges, n, k)
+                assert got == _table_at_least(edges, n, k), (n, k, edges)
             part = three_edge_components(edges, n)
             assert part == _table_three_ecc(edges, n), (n, edges)
             seen["classes"] += 1 < part.class_count < n
@@ -225,6 +231,20 @@ def test_cuts_of_size_at_most_boundary_recount():
 def test_cuts_of_size_at_most_size_guard():
     with pytest.raises(SizeGuardError):
         cuts_of_size_at_most([], 25, 1)
+
+
+def test_cuts_of_size_at_most_refuses_endpoints_outside_the_vertex_range():
+    # read as lying in no side, vertex 5 would make every side a 0-cut
+    for edges in ([(0, 5)], TRIANGLE + [(-1, 2)]):
+        with pytest.raises(ValueError, match="out of range"):
+            cuts_of_size_at_most(edges, 3, 0)
+
+
+def test_cut_size_table_guards():
+    with pytest.raises(ValueError):
+        cut_size_table([], 0)
+    with pytest.raises(SizeGuardError):
+        cut_size_table([], 25)
 
 
 def test_partition_refinement_under_edge_growth():

@@ -60,8 +60,8 @@ def test_kcap_rejects_underconnected_base():
 
 
 def test_kcap_refuses_endpoints_outside_the_vertex_range():
-    # cut_size_table reads such an end as lying outside every side, so a
-    # base edge (-1, 2) would pass as (0, 2) and one chord would look enough
+    # read as lying in no side, a base edge (-1, 2) would pass as (0, 2)
+    # and one chord would look enough
     links = _links([(0, 2, 1), (1, 3, 1)])
     for base in (C4 + [(-1, 2)], C4 + [(2, 4)]):
         with pytest.raises(ValueError, match="out of range"):
@@ -276,6 +276,14 @@ def test_certificate_missing_edge_fails():
 def test_certificate_vacuous_when_no_small_cut():
     # triangle has no cut of size <= 1, so any subset passes for k=1
     assert validate_certificate(TRIANGLE, [(0, 1), (1, 2)], 3, 1)
+
+
+def test_certificate_refuses_endpoints_outside_the_vertex_range():
+    # read as lying in no side, vertex 5 would leave every cut of the
+    # triangle's vertex set uncrossed and the empty certificate valid
+    for full in ([(0, 5)], TRIANGLE + [(-1, 2)]):
+        with pytest.raises(ValueError, match="out of range"):
+            validate_certificate(full, [], 3, 1)
 
 
 def test_certificate_respects_multiplicity():
