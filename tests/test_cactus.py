@@ -19,6 +19,7 @@ from streamaug import (
     cuts_of_size_at_most,
     exact_kcap,
 )
+from streamaug.graph_core import edge_connectivity_at_least, is_connected
 from streamaug.errors import StreamFormatError
 from streamaug.cactus import format_cactus, parse_cactus
 
@@ -50,6 +51,76 @@ def test_validate_accepts_figure_eight():
 def test_validate_rejects_loops_and_bridges():
     assert not cactus_validate(CactusGraph(size=2, edges=((0, 1),), phi=(0, 1)))
     assert not cactus_validate(CactusGraph(size=1, edges=((0, 0),), phi=(0,)))
+
+
+# -- one-pass validation against the three-stage check ------------------------
+
+
+def _three_stage_is_cactus(size, edges):
+    """Connected, 2-edge-connected by capped flow, and one u-v path avoiding each edge."""
+    if any(u == v for u, v in edges):
+        return False
+    if size == 1:
+        return not edges
+    if not is_connected(edges, size) or not edge_connectivity_at_least(edges, size, 2):
+        return False
+    adj = [[] for _ in range(size)]
+    for idx, (u, v) in enumerate(edges):
+        adj[u].append((v, idx))
+        adj[v].append((u, idx))
+
+    def paths(x, t, skip, seen):
+        if x == t:
+            return 1
+        seen.add(x)
+        found = 0
+        for y, idx in adj[x]:
+            if idx != skip and y not in seen:
+                found += paths(y, t, skip, seen)
+                if found >= 2:
+                    break
+        seen.discard(x)
+        return found
+
+    return all(paths(u, v, idx, set()) == 1 for idx, (u, v) in enumerate(edges))
+
+
+def _validation_graphs(rng, max_nodes):
+    """Glued cycles and doubled edges, each also with a chord or an edge cut, plus
+    random and disconnected multigraphs, as (size, edges)."""
+    size, edges = support.random_cactus_edges(rng, max_nodes)
+    yield size, edges
+    if size >= 2:
+        yield size, edges + [tuple(rng.sample(range(size), 2))]
+        cut = list(edges)
+        del cut[rng.randrange(len(cut))]
+        yield size, cut
+    n = rng.randint(1, max_nodes)
+    if n >= 2:
+        yield n, support.random_multigraph(rng, n, rng.randint(1, 2 * n))
+    if size + 1 <= max_nodes:
+        right, more = support.random_cactus_edges(rng, max_nodes - size)
+        yield size + right, edges + [(u + size, v + size) for u, v in more]
+
+
+def test_validate_matches_the_three_stage_check():
+    rng = random.Random(5150)
+    seen = {"cactus": 0, "refused": 0, "loops": 0, "split": 0, "one_node": 0}
+    graphs = 0
+    while graphs < 2400:
+        for size, edges in _validation_graphs(rng, rng.randint(1, 10)):
+            if edges and rng.random() < 0.05:
+                edges = edges + [(rng.randrange(size),) * 2]
+                seen["loops"] += 1
+            rng.shuffle(edges)
+            want = _three_stage_is_cactus(size, edges)
+            got = cactus_validate(CactusGraph(size=size, edges=tuple(edges), phi=tuple(range(size))))
+            assert got == want, (size, edges)
+            seen["cactus" if want else "refused"] += 1
+            seen["split"] += not is_connected(edges, size)
+            seen["one_node"] += size == 1
+            graphs += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_build_cycle_is_itself():
@@ -92,8 +163,6 @@ def test_build_min_cut_family_equality_random():
     while done < 80:
         n = rng.randint(2, 10)
         edges = support.random_multigraph(rng, n, rng.randint(n - 1, 3 * n))
-        from streamaug.graph_core import is_connected
-
         if not is_connected(edges, n):
             continue
         c = cactus_build(edges, n)
