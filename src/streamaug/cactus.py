@@ -6,6 +6,10 @@ with edge connectivity c, there is a cactus H and a vertex map phi such
 that the minimum cuts of G are exactly the preimages of the minimum cuts
 of H, and every min cut of H removes two edges of one cycle.
 
+Validation is one linear pass: if no spanning-tree edge lies on two
+fundamental cycles, they are edge-disjoint, so every simple cycle (a sum of
+fundamental cycles) is one of them.
+
 The constructor here is deliberately exhaustive: it enumerates every min
 cut side, groups vertices into atoms no min cut separates, and rebuilds
 the unique nesting/crossing structure recursively.  That caps it at small
@@ -21,7 +25,7 @@ from .graph_core import (
     WeightedEdge,
     _mask_members,
     cut_size_table,
-    edge_connectivity_at_least,
+    edge_connectivity_at_least,  # noqa: F401  (benchmark/spans.py wraps it here)
     is_connected,
     side_classes,
 )
@@ -60,29 +64,6 @@ class UnfoldedCycle:
         return self.positions[x][0]
 
 
-def _simple_path_count(adj, skip: int, s: int, t: int, cap: int) -> int:
-    """Simple s-t paths avoiding edge index ``skip``, counted up to cap."""
-    count = 0
-    visited = [False] * len(adj)
-
-    def dive(x: int) -> bool:
-        nonlocal count
-        if x == t:
-            count += 1
-            return count >= cap
-        visited[x] = True
-        for y, idx in adj[x]:
-            if idx != skip and not visited[y]:
-                if dive(y):
-                    visited[x] = False
-                    return True
-        visited[x] = False
-        return False
-
-    dive(s)
-    return count
-
-
 def cactus_validate(c: CactusGraph) -> bool:
     """True iff c is 2-edge-connected and every edge lies on one simple cycle."""
     try:
@@ -93,7 +74,12 @@ def cactus_validate(c: CactusGraph) -> bool:
 
 
 def cactus_check(c: CactusGraph) -> None:
-    """Raise ValueError unless c is a well-formed cactus with a sane phi."""
+    """Raise ValueError unless c is a well-formed cactus with a sane phi.
+
+    Each non-tree edge of a BFS spanning tree adds one to the tree edges on its
+    tree path.  c is a cactus exactly when the tree spans c and every tree edge
+    counts one (the module docstring says why); a count of zero is a bridge.
+    """
     if c.size < 1:
         raise ValueError(f"cactus needs at least one node, got size {c.size}")
     adj: list[list[tuple[int, int]]] = [[] for _ in range(c.size)]
@@ -107,21 +93,33 @@ def cactus_check(c: CactusGraph) -> None:
     for x, cx in enumerate(c.phi):
         if not (0 <= cx < c.size):
             raise ValueError(f"phi[{x}] = {cx} out of range")
-    if c.size == 1:
-        if c.edges:
-            raise ValueError("single-node cactus cannot have edges")
-        return
-    if not is_connected(c.edges, c.size):
+    # count[x] is the fundamental cycles through the tree edge x - parent[x]
+    parent = [-1] * c.size
+    depth = [0] + [-1] * (c.size - 1)
+    tree: set[int] = set()
+    order = [0]
+    for x in order:
+        for y, idx in adj[x]:
+            if depth[y] < 0:
+                parent[y], depth[y] = x, depth[x] + 1
+                tree.add(idx)
+                order.append(y)
+    if len(order) < c.size:
         raise ValueError("cactus is not connected")
-    if not edge_connectivity_at_least(c.edges, c.size, 2):
-        raise ValueError("cactus is not 2-edge-connected")
+    count = [0] * c.size
     for idx, (u, v) in enumerate(c.edges):
-        # On exactly one cycle <=> exactly one u-v path avoids this copy.
-        found = _simple_path_count(adj, idx, u, v, cap=2)
-        if found != 1:
-            raise ValueError(
-                f"edge ({u}, {v}) lies on {'no' if found == 0 else 'more than one'} cycle"
-            )
+        if idx in tree:
+            continue
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            count[u] += 1
+            if count[u] > 1:
+                raise ValueError(f"edge ({u}, {parent[u]}) lies on more than one cycle")
+            u = parent[u]
+    for x in order[1:]:
+        if count[x] == 0:
+            raise ValueError(f"edge ({x}, {parent[x]}) lies on no cycle")
 
 
 def cactus_build(edges, n: int) -> CactusGraph:

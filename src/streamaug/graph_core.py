@@ -282,8 +282,6 @@ def cuts_of_size_at_most(edges, n: int, c: int) -> list[CutSide]:
 
     Returned in increasing order of the side's bitmask.
     """
-    if n < 2:
-        return []
     sizes = cut_size_table(edges, n)
     hits = np.nonzero(sizes <= c)[0]
     return [

@@ -25,6 +25,7 @@ from .graph_core import (
     Arc,
     UnionFind,
     WeightedEdge,
+    check_endpoints,
     cut_size_table,  # noqa: F401  (benchmark/spans.py wraps it here)
     edge_connectivity_at_least,
     is_connected,
@@ -209,6 +210,7 @@ def kcap_link_arrival(
         if not exact:
             raise ValueError(f"augmentation to {k} needs a base min cut of exactly {k - 1}")
         cactus = cactus_build(base_edges, n)
+    check_endpoints(links, cactus.n_original)
     aug = augment_over_cactus(cactus, links, epsilon)
     peaks = {"aug_store": aug.peak_stored}
     details = {

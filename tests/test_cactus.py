@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -19,9 +20,9 @@ from streamaug import (
     cuts_of_size_at_most,
     exact_kcap,
 )
-from streamaug.graph_core import edge_connectivity_at_least, is_connected
 from streamaug.errors import StreamFormatError
 from streamaug.cactus import format_cactus, parse_cactus
+from streamaug.graph_core import edge_connectivity_at_least, is_connected
 
 C5 = [(i, (i + 1) % 5) for i in range(5)]
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -121,6 +122,26 @@ def test_validate_matches_the_three_stage_check():
             seen["one_node"] += size == 1
             graphs += 1
     assert min(seen.values()) >= 20, seen
+
+
+def _validates_within_a_second(size, edges):
+    start = time.perf_counter()
+    ok = cactus_validate(CactusGraph(size=size, edges=tuple(edges), phi=tuple(range(size))))
+    assert time.perf_counter() - start < 1.0, size
+    return ok
+
+
+def test_validate_accepts_a_long_ring():
+    assert _validates_within_a_second(1500, [(i, (i + 1) % 1500) for i in range(1500)])
+
+
+def test_validate_accepts_a_long_path_of_doubled_edges():
+    assert _validates_within_a_second(2000, [(i // 2, i // 2 + 1) for i in range(2 * 1999)])
+
+
+def test_validate_refuses_a_long_ring_with_a_chord():
+    ring = [(i, (i + 1) % 2000) for i in range(2000)]
+    assert not _validates_within_a_second(2000, ring + [(0, 1000)])
 
 
 def test_build_cycle_is_itself():

@@ -224,6 +224,20 @@ def test_cli_cactus_mode_refuses_base_edges(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_cli_cactus_mode_refuses_link_ends_outside_the_vertex_map(tmp_path, capsys):
+    # the 4-node ring's cactus maps vertices 0..3; vertex 7 has no node
+    cac = cactus_build([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
+    cactus_file = tmp_path / "ring4.cactus"
+    cactus_file.write_text(format_cactus(cac))
+    stream = tmp_path / "links.txt"
+    stream.write_text("header n=10\nL 0 7 1\n")
+    code, _out, err = _run(
+        ["kcap-link", str(stream), "--cactus", str(cactus_file), "--epsilon", "0.5"], capsys
+    )
+    assert code == 4
+    assert "out of range" in err
+
+
 def test_cli_fully_streaming_bowtie(capsys):
     code, report = _report(
         [

@@ -236,8 +236,9 @@ def test_cuts_of_size_at_most_size_guard():
 def test_cuts_of_size_at_most_refuses_endpoints_outside_the_vertex_range():
     # read as lying in no side, vertex 5 would make every side a 0-cut
     for edges in ([(0, 5)], TRIANGLE + [(-1, 2)]):
-        with pytest.raises(ValueError, match="out of range"):
-            cuts_of_size_at_most(edges, 3, 0)
+        for n in (3, 1):
+            with pytest.raises(ValueError, match="out of range"):
+                cuts_of_size_at_most(edges, n, 0)
 
 
 def test_cut_size_table_guards():

@@ -110,6 +110,15 @@ def test_link_arrival_accepts_a_prebuilt_cactus():
     assert report.details["cycle_cover_weight"] == 2
 
 
+def test_link_arrival_refuses_link_ends_outside_the_cactus_vertex_map():
+    # read through phi, an end -1 would stand for vertex 3 and one end 4 has no node
+    cac = cactus_build(RING4, 4)
+    for bad in ((-1, 1, 1), (0, 4, 1)):
+        links = _edges([(0, 2, 1), (1, 3, 1), bad])
+        with pytest.raises(ValueError, match="out of range"):
+            kcap_link_arrival(links, cactus=cac, epsilon=Fraction(1, 2))
+
+
 def test_link_arrival_spans_the_shared_vertex_of_two_blocks():
     # both lobes of the bowtie need their own chord; the junction cut is
     # closed for free inside the unfolded cycle
