@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from scratch, without reusing the
 solver internals under test, so the two routes can disagree when one of
-them is wrong.
+them is wrong.  The numpy side tables at the end are the exception: they are
+copies of the library's cut table, side membership matrix and reverse-phase
+SNDP loop as they stood before the library kept every side set as one
+Python int, and the differential tests hold the int code to them.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import itertools
 import random
 
 import networkx as nx
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -277,3 +281,133 @@ def link_key(e) -> tuple[int, int, int]:
 
 def link_multiset(edges) -> list[tuple[int, int, int]]:
     return sorted(link_key(e) for e in edges)
+
+
+# ---------------------------------------------------------------------------
+# numpy side tables: side ``mask`` is the set of vertices i >= 1 with bit
+# (i-1) set, so vertex 0 lies in no side and mask 0 is the empty side
+
+
+def _ends(e) -> tuple[int, int]:
+    return (e.u, e.v) if hasattr(e, "u") else (e[0], e[1])
+
+
+def reference_cut_size_table(edges, n: int) -> np.ndarray:
+    """Entry ``mask`` is the number of edges crossing side ``mask``."""
+    masks = np.arange(1 << (n - 1), dtype=np.uint32)
+    sizes = np.zeros(len(masks), dtype=np.uint32)
+    for e in edges:
+        u, v = _ends(e)
+        if u == v:
+            continue
+        in_u = (masks >> (u - 1)) & 1 if u > 0 else np.uint32(0)
+        in_v = (masks >> (v - 1)) & 1 if v > 0 else np.uint32(0)
+        sizes += in_u ^ in_v
+    return sizes
+
+
+def reference_side_membership(n: int) -> np.ndarray:
+    """Boolean (n, 2^(n-1)) matrix: entry [v, mask] is whether side ``mask`` holds v."""
+    masks = np.arange(1 << (n - 1), dtype=np.uint32)
+    member = np.zeros((n, len(masks)), dtype=bool)
+    member[1:] = (masks >> np.arange(n - 1, dtype=np.uint32)[:, None]) & 1
+    return member
+
+
+def reference_pack(flags: np.ndarray) -> int:
+    """A boolean vector over side masks as an int with bit ``mask`` set where True."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def reference_side_bits(n: int) -> list[int]:
+    return [reference_pack(row) for row in reference_side_membership(n)]
+
+
+def reference_cuts_of_size_at_most(edges, n: int, c: int) -> list[tuple[frozenset, int]]:
+    """(members, crossing count) of every proper side with at most c crossings, by mask."""
+    sizes = reference_cut_size_table(edges, n)
+    out = []
+    for mask in np.nonzero(sizes <= c)[0]:
+        if mask:
+            members = frozenset(v for v in range(1, n) if (int(mask) >> (v - 1)) & 1)
+            out.append((members, int(sizes[mask])))
+    return out
+
+
+def reference_validate_certificate(full_edges, cert_edges, n: int, k: int) -> bool:
+    counts: dict[tuple[int, int], int] = {}
+    for e in full_edges:
+        key = tuple(sorted(_ends(e)))
+        counts[key] = counts.get(key, 0) + 1
+    for e in cert_edges:
+        key = tuple(sorted(_ends(e)))
+        if counts.get(key, 0) == 0:
+            return False
+        counts[key] -= 1
+    full_sizes = reference_cut_size_table(full_edges, n)[1:]
+    cert_sizes = reference_cut_size_table(cert_edges, n)[1:]
+    low = full_sizes <= k
+    return bool(np.array_equal(full_sizes[low], cert_sizes[low]))
+
+
+def reference_deficient_sides(base, n: int, k: int) -> int:
+    """The proper sides crossed by at most k - 1 base edges, as a side bitset."""
+    return reference_pack(reference_cut_size_table(base, n) <= k - 1) & ~1
+
+
+def reference_min_cut_family(edges, n: int) -> tuple[set[frozenset], int]:
+    """The sides of a connected multigraph crossed by the fewest edges, and that count."""
+    sizes = reference_cut_size_table(edges, n)[1:]
+    lam = int(sizes.min())
+    family = {
+        frozenset(v for v in range(1, n) if (int(i + 1) >> (v - 1)) & 1)
+        for i in np.flatnonzero(sizes == lam)
+    }
+    return family, lam
+
+
+def reference_demand_levels(n: int, pairs) -> list[int]:
+    """need[j - 1] holds the sides separating a pair (s, t, r) with r >= j."""
+    member = reference_side_membership(n)
+    need = np.zeros(member.shape[1], dtype=np.int64)
+    for s, t, r in pairs:
+        np.maximum(need, np.where(member[s] ^ member[t], r, 0), out=need)
+    return [reference_pack(need >= j) for j in range(1, int(need.max(initial=0)) + 1)]
+
+
+def reference_solve_sndp(layers, requirements, cover):
+    """The reverse-phase loop over numpy demand and crossing vectors.
+
+    Returns (chosen edges, weight, phases) as ``solve_sndp`` builds them;
+    ``cover`` is the set-cover search each phase calls.
+    """
+    n = requirements.n
+    k = len(layers)
+    member = reference_side_membership(n)
+    bits = reference_side_bits(n)
+    need = np.zeros(member.shape[1], dtype=np.int64)
+    for (s, t), r in requirements.items():
+        np.maximum(need, np.where(member[s] ^ member[t], r, 0), out=need)
+    crossings = np.zeros_like(need)
+    chosen, phases, pool = [], [], []
+    for phase in range(1, k + 1):
+        pool.extend(layers[phase - 1])
+        deficit = np.maximum(need - (k - phase), 0) - crossings
+        if (deficit > 1).any():
+            raise RuntimeError("phase deficit exceeded 1; augmentation invariant broken")
+        targets = reference_pack(deficit == 1)
+        if not targets:
+            phases.append(())
+            continue
+        taken = {e.arrival for e in chosen}
+        avail = [e for e in pool if e.arrival not in taken]
+        masks = [(bits[e.u] ^ bits[e.v]) & targets for e in avail]
+        hit = cover(masks, [e.w for e in avail], targets)
+        if hit is None:
+            return None
+        grabbed = tuple(avail[i] for i in hit[1])
+        phases.append(grabbed)
+        for e in grabbed:
+            chosen.append(e)
+            crossings += member[e.u] ^ member[e.v]
+    return tuple(chosen), sum(e.w for e in chosen), tuple(phases)
