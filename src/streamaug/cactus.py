@@ -23,11 +23,14 @@ from dataclasses import dataclass
 from .errors import SizeGuardError, StreamFormatError
 from .graph_core import (
     WeightedEdge,
+    _bit_positions,
+    _capacity_map,
     _mask_members,
     cut_size_table,
     edge_connectivity_at_least,  # noqa: F401  (benchmark/spans.py wraps it here)
     is_connected,
     side_classes,
+    sides_at_most,
 )
 
 CACTUS_MAX_N = 16
@@ -139,12 +142,14 @@ def cactus_build(edges, n: int) -> CactusGraph:
         raise SizeGuardError(f"cactus construction needs n <= {CACTUS_MAX_N}, got {n}")
     if not is_connected(edges, n):
         raise ValueError("cactus construction needs a connected graph")
-    sizes = cut_size_table(edges, n)
-    lam = int(sizes[1:].min())
-    # mask 0 has size 0, below lam on a connected graph
-    min_masks = (sizes == lam).nonzero()[0]
-    atom_of = side_classes(min_masks, n)
-    fam = {frozenset(atom_of[v] for v in _mask_members(int(m))) for m in min_masks}
+    # every single vertex is a side, so lam is at most the smallest degree
+    degree = min(sum(nbrs.values()) for nbrs in _capacity_map(edges, n).values())
+    levels = cut_size_table(edges, n, degree + 1)
+    # bit 0 is the empty side, which is no cut
+    lam = next(c for c in range(len(levels)) if sides_at_most(levels, c) & ~1)
+    min_sides = sides_at_most(levels, lam) & ~1
+    atom_of = side_classes(min_sides, n)
+    fam = {frozenset(atom_of[v] for v in _mask_members(m)) for m in _bit_positions(min_sides)}
 
     node_atoms: list[set[int]] = []
     cedges: list[tuple[int, int]] = []

@@ -340,7 +340,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 4
-    except (StreamFormatError, FileNotFoundError) as exc:
+    except (StreamFormatError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
@@ -351,15 +351,19 @@ def main(argv=None) -> int:
         return 3
     report["wall_time_s"] = round(time.perf_counter() - started, 6)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.output:
-        chosen = [StreamEvent("L", e) for e in output]
-        with open(args.output, "w") as fh:
-            fh.write(write_stream(ParsedStream(report["n"], None, chosen)))
+    try:
+        if args.report:
+            with open(args.report, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if args.output:
+            chosen = [StreamEvent("L", e) for e in output]
+            with open(args.output, "w") as fh:
+                fh.write(write_stream(ParsedStream(report["n"], None, chosen)))
+    except OSError as exc:
+        print(f"write error: {exc}", file=sys.stderr)
+        return 4
     return 0 if report["feasible"] else 2
 
 

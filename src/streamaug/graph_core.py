@@ -1,19 +1,19 @@
-"""Multigraph primitives: edges, partitions, cuts, connectivity tests.
+"""Multigraph primitives: edges, partitions, cut sides, connectivity tests.
 
 Vertices are integers 0..n-1 throughout.  Graphs are undirected multigraphs
 given as edge lists; parallel edges are meaningful and kept distinct by
 arrival number.
 
-Capped max-flow decides k-edge-connectivity and 3-edge-components at every
-n; cut_size_table serves the exhaustive min-cut cactus and the oracles.
+A set of cut sides is one Python int whose bit ``mask`` stands for side
+``mask`` (side_bits), and crossing counts are levels of such ints.  These
+enumerate all 2^(n-1) sides for the exhaustive min-cut cactus and the
+oracles; capped max-flow decides k-edge-connectivity and 3-edge-components.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import SizeGuardError
 
@@ -195,86 +195,72 @@ def is_connected(edges, n: int) -> bool:
     return connected_components(edges, n).class_count == 1
 
 
-def cut_size_table(edges, n: int) -> np.ndarray:
-    """Boundary sizes for every vertex side not containing vertex 0.
-
-    Entry at index ``mask`` is the number of edges crossing the side whose
-    members are the vertices i >= 1 with bit (i-1) set.  Index 0 (the empty
-    side) is not a proper cut; callers skip it.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > CUT_ENUM_MAX_N:
-        raise SizeGuardError(f"cut enumeration needs n <= {CUT_ENUM_MAX_N}, got {n}")
-    edges = list(edges)
-    check_endpoints(edges, n)
-    masks = np.arange(1 << (n - 1), dtype=np.uint32)
-    sizes = np.zeros(len(masks), dtype=np.uint32)
-    for e in edges:
-        u, v = edge_ends(e)
-        if u == v:
-            continue
-        in_u = (masks >> (u - 1)) & 1 if u > 0 else np.uint32(0)
-        in_v = (masks >> (v - 1)) & 1 if v > 0 else np.uint32(0)
-        sizes += in_u ^ in_v
-    return sizes
-
-
-def side_membership(n: int) -> np.ndarray:
-    """Boolean (n, 2^(n-1)) matrix: entry [v, mask] is whether side ``mask`` holds v.
-
-    Side ``mask`` is the set of vertices i >= 1 with bit (i-1) set, as in
-    cut_size_table, so row 0 (vertex 0) and column 0 (the empty side) are
-    all False.  An edge uv crosses exactly the sides where rows u and v differ.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > CUT_ENUM_MAX_N:
-        raise SizeGuardError(f"cut enumeration needs n <= {CUT_ENUM_MAX_N}, got {n}")
-    return _membership(np.arange(1 << (n - 1), dtype=np.uint32), n)
-
-
-def _membership(masks: np.ndarray, n: int) -> np.ndarray:
-    member = np.zeros((n, len(masks)), dtype=bool)
-    member[1:] = (masks >> np.arange(n - 1, dtype=np.uint32)[:, None]) & 1
-    return member
-
-
-def side_classes(masks, n: int) -> list[int]:
-    """Per vertex v, the smallest vertex lying in exactly the same sides of ``masks`` as v.
-
-    Sides are laid out as in side_membership.  Two vertices get the same
-    label exactly when no side in the list separates them.
-    """
-    rows = _membership(np.asarray(masks, dtype=np.uint32), n)
-    first: dict[bytes, int] = {}
-    return [first.setdefault(row.tobytes(), v) for v, row in enumerate(rows)]
-
-
-def pack_sides(flags: np.ndarray) -> int:
-    """A boolean vector over side masks as an int with bit ``mask`` set where True."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
 def side_bits(n: int) -> list[int]:
     """Per vertex v, the int whose bit ``mask`` is set for every side holding v.
 
-    ``side_bits(n)[u] ^ side_bits(n)[v]`` is the set of sides edge uv crosses,
-    and the OR of that over the terminal pairs demanding at least j is the set
-    of sides demanding at least j crossings.
+    Side ``mask`` is the set of vertices i >= 1 with bit (i-1) set, so vertex 0
+    lies in no side and bit 0 is the empty side.  Edge uv crosses the sides
+    ``bits[u] ^ bits[v]``.
     """
-    return [pack_sides(row) for row in side_membership(n)]
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > CUT_ENUM_MAX_N:
+        raise SizeGuardError(f"cut enumeration needs n <= {CUT_ENUM_MAX_N}, got {n}")
+    rows = [0]
+    for v in range(1, n):
+        half = 1 << (v - 1)
+        row, width = ((1 << half) - 1) << half, 2 * half
+        while width < 1 << (n - 1):
+            row |= row << width
+            width *= 2
+        rows.append(row)
+    return rows
+
+
+def add_crossing(levels: list[int], sides: int) -> None:
+    """Move each side in ``sides`` up one of the levels (sides crossed at least j times)."""
+    for j in range(1, len(levels)):
+        if not sides:
+            return
+        levels[j], sides = levels[j] | sides, levels[j] & sides
+
+
+def cut_size_table(edges, n: int, top: int) -> list[int]:
+    """Levels 0..top: level j holds the sides at least j edges cross, level 0 every side.
+
+    No side is crossed more than len(edges) times, so top is clamped to
+    0..len(edges).
+    """
+    bits = side_bits(n)
+    edges = list(edges)
+    check_endpoints(edges, n)
+    levels = [(1 << (1 << (n - 1))) - 1] + [0] * max(0, min(top, len(edges)))
+    for e in edges:
+        u, v = edge_ends(e)
+        add_crossing(levels, bits[u] ^ bits[v])
+    return levels
+
+
+def sides_at_most(levels: list[int], c: int) -> int:
+    """The sides that at most c edges cross, read off cut_size_table levels."""
+    if c < 0:
+        return 0
+    return levels[0] & ~levels[c + 1] if c + 1 < len(levels) else levels[0]
+
+
+def side_classes(sides: int, n: int) -> list[int]:
+    """Per vertex v, the smallest vertex that no side in the bitset ``sides`` separates from v."""
+    first: dict[int, int] = {}
+    return [first.setdefault(row & sides, v) for v, row in enumerate(side_bits(n))]
+
+
+def _bit_positions(x: int) -> list[int]:
+    """Positions of the set bits of x, in increasing order."""
+    return [i for i, ch in enumerate(reversed(bin(x))) if ch == "1"]
 
 
 def _mask_members(mask: int) -> frozenset[int]:
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
+    return frozenset(i + 1 for i in _bit_positions(mask))
 
 
 def cuts_of_size_at_most(edges, n: int, c: int) -> list[CutSide]:
@@ -282,13 +268,12 @@ def cuts_of_size_at_most(edges, n: int, c: int) -> list[CutSide]:
 
     Returned in increasing order of the side's bitmask.
     """
-    sizes = cut_size_table(edges, n)
-    hits = np.nonzero(sizes <= c)[0]
-    return [
-        CutSide(_mask_members(int(m)), int(sizes[m]))
-        for m in hits
-        if m != 0
-    ]
+    levels = cut_size_table(edges, n, c + 1)
+    found = []
+    for size in range(min(c, len(levels) - 1) + 1):
+        exact = levels[size] & sides_at_most(levels, size) & ~1
+        found += [(mask, size) for mask in _bit_positions(exact)]
+    return [CutSide(_mask_members(mask), size) for mask, size in sorted(found)]
 
 
 def _capacity_map(edges, n: int) -> dict[int, dict[int, int]]:

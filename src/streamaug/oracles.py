@@ -12,11 +12,11 @@ minimizes (total weight, arc count, sorted index tuple); cardinality sits
 between weight and the index tuple because plain lexicographic order does
 not survive concatenation of independent subproblems.
 
-The cover solvers work on side bitsets from ``graph_core.side_bits``: bit
-``mask`` of a link's set is whether the link crosses side ``mask``.  The
-design multicover keeps its counts bit-sliced: ``cov[j]`` holds the sides
-that at least j chosen edges cross, and ``suf[i][j]`` the sides that at
-least j of edges i..m-1 cross.  Every demand is met when each side needing
+Every set of cut sides is one int, as in ``graph_core``: bit ``mask`` of a
+link's set is whether the link crosses side ``mask``.  The design
+multicover keeps its counts bit-sliced: ``cov[j]`` holds the sides that at
+least j chosen edges cross, and ``suf[i][j]`` the sides that at least j of
+edges i..m-1 cross.  Every demand is met when each side needing
 at least j crossings lies in ``cov[j]``; a branch is dead when some side
 needing j lies outside the OR over a of ``cov[a] & suf[i][j-a]``, the sides
 that the chosen edges plus the undecided ones can still cross j times.
@@ -28,9 +28,9 @@ operations instead of a walk over the sides each edge crosses.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import zip_longest
 
 from .errors import Infeasible, SizeGuardError
 from .graph_core import (
@@ -40,8 +40,8 @@ from .graph_core import (
     cut_size_table,
     edge_connectivity_at_least,
     edge_ends,
-    pack_sides,
     side_bits,
+    sides_at_most,
 )
 
 KCAP_MAX_LINKS = 22
@@ -126,7 +126,7 @@ def exact_kcap(instance: AugmentationInstance) -> tuple[list[WeightedEdge], int]
     if n < 2:
         return [], 0
     # bit 0 is the empty side, which no link crosses
-    full = pack_sides(cut_size_table(instance.base, n) <= instance.k - 1) & ~1
+    full = sides_at_most(cut_size_table(instance.base, n, instance.k), instance.k - 1) & ~1
     if not full:
         return [], 0
     bits = side_bits(n)
@@ -252,6 +252,15 @@ def _requirement_pairs(requirements) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
+def _demand_levels(bits: list[int], pairs, top: int) -> list[int]:
+    """``need[j - 1]``: the sides separating a pair (s, t, r <= top) with r >= j."""
+    need = [0] * top
+    for s, t, r in pairs:
+        for j in range(r):
+            need[j] |= bits[s] ^ bits[t]
+    return need
+
+
 def exact_sndp(
     n: int, edges: list[WeightedEdge], requirements
 ) -> tuple[list[WeightedEdge], int]:
@@ -285,10 +294,7 @@ def exact_sndp(
     if top > len(edges):
         raise Infeasible(f"a demand of {top} exceeds the {len(edges)} edges")
     bits = side_bits(n)
-    need = [0] * top
-    for s, t, r in pairs:
-        for j in range(r):
-            need[j] |= bits[s] ^ bits[t]
+    need = _demand_levels(bits, pairs, top)
     cross = [bits[e.u] ^ bits[e.v] for e in edges]
     hit = _multicover_branch_and_bound(cross, [e.w for e in edges], need)
     if hit is None:
@@ -303,18 +309,11 @@ def validate_certificate(full_edges, cert_edges, n: int, k: int) -> bool:
     cert must be a sub-multiset of full; every side crossed by at most k full
     edges must be crossed by exactly the same edges, hence the same count.
     """
-    full_sizes = cut_size_table(full_edges, n)
-    cert_sizes = cut_size_table(cert_edges, n)
-    counts: dict[tuple[int, int], int] = {}
-    for e in full_edges:
-        u, v = edge_ends(e)
-        key = (min(u, v), max(u, v))
-        counts[key] = counts.get(key, 0) + 1
-    for e in cert_edges:
-        u, v = edge_ends(e)
-        key = (min(u, v), max(u, v))
-        if counts.get(key, 0) == 0:
-            return False
-        counts[key] -= 1
-    low = full_sizes[1:] <= k
-    return bool(np.array_equal(full_sizes[1:][low], cert_sizes[1:][low]))
+    full_levels = cut_size_table(full_edges, n, k + 1)
+    cert_levels = cut_size_table(cert_edges, n, k + 1)
+    full_pairs = Counter(tuple(sorted(edge_ends(e))) for e in full_edges)
+    cert_pairs = Counter(tuple(sorted(edge_ends(e))) for e in cert_edges)
+    if cert_pairs - full_pairs:
+        return False
+    low = sides_at_most(full_levels, k)
+    return not any((f ^ c) & low for f, c in zip_longest(full_levels, cert_levels, fillvalue=0))

@@ -8,22 +8,20 @@ the next layer in arrival order.  Layer i therefore holds a spanner of
 layers approximates distances among all edges rejected earlier, which is
 exactly what phase i of the reverse augmentation scheme shops from.
 
-The reverse-phase solver keeps side demands and crossing counts as numpy
-vectors over side masks (``graph_core.side_membership``).  Each phase's set
-cover gets the side bitsets ``cross(e) & targets``, ``targets`` being the
-sides one crossing short; the cover search only ORs these and compares them
-with ``targets``, so numbering sides by mask changes no result.
+The reverse-phase solver keeps side demands and the chosen edges' crossings
+as levels of side bitsets (``graph_core``).  Each phase's set cover gets the
+side bitsets ``cross(e) & targets``, ``targets`` being the sides one
+crossing short; the cover search only ORs these and compares them with
+``targets``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import Infeasible, SizeGuardError, StreamFormatError
-from .graph_core import WeightedEdge, check_endpoints, pack_sides, side_bits, side_membership
-from .oracles import SNDP_MAX_N, _cover_branch_and_bound
+from .graph_core import WeightedEdge, add_crossing, check_endpoints, side_bits
+from .oracles import SNDP_MAX_N, _cover_branch_and_bound, _demand_levels, _requirement_pairs
 from .spanner_stream import SpannerState
 from .weightbands import as_fraction
 
@@ -172,22 +170,23 @@ def solve_sndp(coreset, requirements: Requirements) -> SndpSolution:
         )
     for layer in layers:
         check_endpoints(layer, n)
-    member = side_membership(n)
     bits = side_bits(n)
-    need = np.zeros(member.shape[1], dtype=np.int64)
-    for (s, t), r in requirements.items():
-        np.maximum(need, np.where(member[s] ^ member[t], r, 0), out=need)
-    crossings = np.zeros_like(need)
+    need = _demand_levels(bits, _requirement_pairs(requirements), k)
+    # cross[j]: the sides the chosen edges cross at least j times
+    cross = [-1] + [0] * k
     chosen: list[WeightedEdge] = []
     chosen_arrivals: set[int] = set()
     phases: list[tuple[WeightedEdge, ...]] = []
     pool: list[WeightedEdge] = []
     for phase in range(1, k + 1):
         pool.extend(layers[phase - 1])
-        deficit = np.maximum(need - (k - phase), 0) - crossings
-        if (deficit > 1).any():
+        # a side is j short when it needs k - phase + j crossings and has under j
+        shift = k - phase
+        if any(need[shift + j - 1] & ~cross[j - 1] for j in range(2, phase + 1)):
             raise RuntimeError("phase deficit exceeded 1; augmentation invariant broken")
-        targets = pack_sides(deficit == 1)
+        targets = 0
+        for j in range(1, phase + 1):
+            targets |= need[shift + j - 1] & ~cross[j]
         if not targets:
             phases.append(())
             continue
@@ -202,7 +201,7 @@ def solve_sndp(coreset, requirements: Requirements) -> SndpSolution:
         for e in grabbed:
             chosen.append(e)
             chosen_arrivals.add(e.arrival)
-            crossings += member[e.u] ^ member[e.v]
+            add_crossing(cross, bits[e.u] ^ bits[e.v])
     return SndpSolution(
         edges=tuple(chosen),
         weight=sum(e.w for e in chosen),

@@ -18,6 +18,8 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"cannot band with a non-finite value {x}")
         return Fraction(*x.as_integer_ratio())
     raise TypeError(f"cannot band with base of type {type(x).__name__}")
 

@@ -24,7 +24,6 @@ from streamaug.errors import Infeasible
 from streamaug.graph_core import (
     Arc,
     WeightedEdge,
-    cut_size_table,
     edge_connectivity_at_least,
     is_connected,
 )
@@ -59,7 +58,7 @@ def _reference_kcap_link_arrival(
         base_edges = list(base_edges)
         if not is_connected(base_edges, n):
             raise ValueError("base graph must be connected")
-        mc = int(cut_size_table(base_edges, n)[1:].min())
+        mc = int(support.reference_cut_size_table(base_edges, n)[1:].min())
         if mc != k - 1:
             raise ValueError(
                 f"base min cut is {mc}, augmentation to {k} needs exactly {k - 1}"
@@ -249,7 +248,7 @@ def _bases(rng):
     while True:
         n = rng.randint(3, 10)
         base = rng.choice(grow)(rng, n, rng.randint(0, 2 * n))
-        lam = int(cut_size_table(base, n)[1:].min())
+        lam = int(support.reference_cut_size_table(base, n)[1:].min())
         yield base, n, lam + 1
 
 

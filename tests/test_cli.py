@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -367,6 +370,15 @@ def test_cli_usage_and_parse_failures_exit_four(tmp_path, capsys):
         ["spanner", str(tmp_path / "missing.txt"), "--t", "2", "--epsilon", "0.5"],
         ["stap", str(FIXTURES / "path4_tap.txt"), "--terminals", "0,x", "--t", "2", "--epsilon", "0.5"],
         ["kcap-full", str(FIXTURES / "path4_tap.txt"), "--t", "2", "--epsilon", "0.5"],
+        ["spanner", str(FIXTURES / "spanner6.txt"), "--t", "2", "--epsilon", "inf"],
+        ["kecss", str(FIXTURES / "ring4_chords.txt"), "--k", "3", "--epsilon", "inf"],
+        ["spanner", str(tmp_path), "--t", "2", "--epsilon", "0.5"],
+        ["sndp", str(FIXTURES / "clique4.txt"), "--k", "2", "--t", "2", "--epsilon", "0.5",
+         "--requirements", str(tmp_path)],
+        ["spanner", str(FIXTURES / "spanner6.txt"), "--t", "2", "--epsilon", "0.5",
+         "--report", str(tmp_path / "missing" / "report.json")],
+        ["spanner", str(FIXTURES / "spanner6.txt"), "--t", "2", "--epsilon", "0.5",
+         "--output", str(tmp_path / "missing" / "links.txt")],
     ]
     for argv in cases:
         code, _out, _err = _run(argv, capsys)
@@ -542,3 +554,38 @@ def test_cli_report_and_output_files(tmp_path, capsys):
     # the emitted links parse back as a valid stream
     parsed = parse_stream(output_file.read_text())
     assert [e.pair for e in parsed.links()] == [(0, 2), (1, 3)]
+
+
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import streamaug
+from streamaug.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"exit code {code} for {argv}")
+"""
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    reqs = str(FIXTURES / "reqs_all2.txt")
+    clique = str(FIXTURES / "clique4.txt")
+    cases = [
+        ["kcap-link", str(FIXTURES / "ring4_chords.txt"), "--epsilon", "0.5", "--with-oracle"],
+        ["sndp", clique, "--t", "2", "--epsilon", "0.5", "--requirements", reqs, "--with-oracle"],
+        ["oracle", clique, "--requirements", reqs],
+    ]
+    cases = [argv + ["--report", str(tmp_path / f"{i}.json")] for i, argv in enumerate(cases)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(cases)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    weights = [json.loads((tmp_path / f"{i}.json").read_text())["oracle_weight"] for i in range(3)]
+    assert weights == [2, 4, 4]

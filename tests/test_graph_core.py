@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +21,6 @@ from streamaug.graph_core import (
     is_connected,
     side_bits,
     side_classes,
-    side_membership,
 )
 
 C4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -140,12 +138,14 @@ def test_edge_connectivity_agrees_with_networkx_at_twenty_vertices():
 
 def _table_at_least(edges, n, k):
     """k-edge-connectivity read off the table of every cut's size."""
-    return int(cut_size_table(edges, n)[1:].min()) >= k
+    return int(support.reference_cut_size_table(edges, n)[1:].min()) >= k
 
 
 def _table_three_ecc(edges, n):
     """Vertices grouped by the sides of size at most 2 that hold them."""
-    return Partition(side_classes(np.flatnonzero(cut_size_table(edges, n)[1:] <= 2) + 1, n))
+    # bit 0 is the empty side, which separates no vertices
+    small = support.reference_pack(support.reference_cut_size_table(edges, n) <= 2)
+    return Partition(side_classes(small, n))
 
 
 def _route_graphs(rng, n):
@@ -243,9 +243,21 @@ def test_cuts_of_size_at_most_refuses_endpoints_outside_the_vertex_range():
 
 def test_cut_size_table_guards():
     with pytest.raises(ValueError):
-        cut_size_table([], 0)
+        cut_size_table([], 0, 1)
     with pytest.raises(SizeGuardError):
-        cut_size_table([], 25)
+        cut_size_table([], 25, 1)
+
+
+def test_cut_size_table_levels_match_the_numpy_table():
+    rng = random.Random(14)
+    for n in range(1, 10):
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+        sizes = support.reference_cut_size_table(edges, n)
+        for top in (-1, 0, 1, len(edges) // 2, len(edges), 10**9):
+            levels = cut_size_table(edges, n, top)
+            # no side is crossed more often than there are edges
+            assert len(levels) == max(0, min(top, len(edges))) + 1
+            assert levels == [support.reference_pack(sizes >= j) for j in range(len(levels))]
 
 
 def test_partition_refinement_under_edge_growth():
@@ -297,7 +309,6 @@ def _vertex_pair(draw):
 def test_side_bits_cross_exactly_the_separating_sides(case):
     n, u, v = case
     bits = side_bits(n)
-    member = side_membership(n)
 
     def holds(x, mask):
         return x > 0 and (mask >> (x - 1)) & 1 == 1
@@ -305,7 +316,7 @@ def test_side_bits_cross_exactly_the_separating_sides(case):
     crossing = bits[u] ^ bits[v]
     for mask in range(1 << (n - 1)):
         assert (crossing >> mask) & 1 == (holds(u, mask) != holds(v, mask))
-        assert member[u, mask] == holds(u, mask)
+        assert (bits[u] >> mask) & 1 == holds(u, mask)
     assert crossing >> (1 << (n - 1)) == 0
     assert bits[0] == 0
 
@@ -341,4 +352,5 @@ def _mask_list(draw):
 @given(_mask_list())
 def test_side_classes_match_the_bit_walk_signatures(case):
     n, masks = case
-    assert side_classes(masks, n) == _bit_walk_classes(masks, n)
+    sides = sum(1 << mask for mask in set(masks))
+    assert side_classes(sides, n) == _bit_walk_classes(masks, n)
