@@ -218,7 +218,7 @@ def side_bits(n: int) -> list[int]:
 
 
 def add_crossing(levels: list[int], sides: int) -> None:
-    """Move each side in ``sides`` up one of the levels (sides crossed at least j times)."""
+    """Count one more crossing on each side in ``sides``, in levels as cut_size_table's."""
     for j in range(1, len(levels)):
         if not sides:
             return

@@ -180,7 +180,8 @@ def solve_sndp(coreset, requirements: Requirements) -> SndpSolution:
     pool: list[WeightedEdge] = []
     for phase in range(1, k + 1):
         pool.extend(layers[phase - 1])
-        # a side is j short when it needs k - phase + j crossings and has under j
+        # sides needing shift + j crossings with fewer than j are short of the
+        # phase demand; with fewer than j - 1 they are short by two or more
         shift = k - phase
         if any(need[shift + j - 1] & ~cross[j - 1] for j in range(2, phase + 1)):
             raise RuntimeError("phase deficit exceeded 1; augmentation invariant broken")
