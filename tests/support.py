@@ -138,6 +138,70 @@ def nx_pair_flow(edges, n: int, s: int, t: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# flow-route copies: k-edge-connectivity by capped flows from vertex 0 to
+# every other vertex, and 3-edge-components by one capped flow per vertex
+# pair, as the library answered both before one capped flow tree did
+
+
+def _flow_capacities(edges, n: int) -> dict[int, dict[int, int]]:
+    cap: dict[int, dict[int, int]] = {v: {} for v in range(n)}
+    for e in edges:
+        u, v = _ends(e)
+        if u != v:
+            cap[u][v] = cap[u].get(v, 0) + 1
+            cap[v][u] = cap[v].get(u, 0) + 1
+    return cap
+
+
+def _capped_flow(cap: dict[int, dict[int, int]], s: int, t: int, limit: int) -> int:
+    """Max s-t flow by shortest augmenting paths, stopping once limit is hit."""
+    residual = {u: dict(nbrs) for u, nbrs in cap.items()}
+    flow = 0
+    while flow < limit:
+        prev = {s: None}
+        queue = [s]
+        for x in queue:
+            for y, c in residual[x].items():
+                if c > 0 and y not in prev:
+                    prev[y] = x
+                    queue.append(y)
+        if t not in prev:
+            break
+        path = []
+        y = t
+        while prev[y] is not None:
+            path.append((prev[y], y))
+            y = prev[y]
+        push = min([limit - flow] + [residual[x][y] for x, y in path])
+        for x, y in path:
+            residual[x][y] -= push
+            residual[y][x] = residual[y].get(x, 0) + push
+        flow += push
+    return flow
+
+
+def reference_edge_connectivity_at_least(edges, n: int, k: int) -> bool:
+    """Whether every flow from vertex 0, capped at k, reaches k."""
+    if k <= 0 or n <= 1:
+        return True
+    cap = _flow_capacities(edges, n)
+    return all(_capped_flow(cap, 0, t, k) >= k for t in range(1, n))
+
+
+def reference_three_edge_components(edges, n: int) -> list[int]:
+    """Per vertex, the smallest vertex that 3 edge-disjoint paths join it to."""
+    cap = _flow_capacities(edges, n)
+    label = list(range(n))
+    for u in range(n):
+        if label[u] != u:
+            continue
+        for v in range(u + 1, n):
+            if label[v] == v and _capped_flow(cap, u, v, 3) >= 3:
+                label[v] = u
+    return label
+
+
+# ---------------------------------------------------------------------------
 # shortest paths (independent of the spanner's internal distances)
 
 

@@ -187,6 +187,46 @@ def test_connectivity_routes_match_the_cut_table():
     assert all(seen.values()), seen
 
 
+# -- the library against copies of the star-flow and pairwise-flow routes ---
+
+
+def _flow_route_graphs(rng, n):
+    """Empty, sparse, split, cyclic and dense multigraphs on n >= 0 vertices,
+    with self-loops, parallel edges and WeightedEdge edges mixed in."""
+    graphs = [[]]
+    if n >= 2:
+        graphs += list(_route_graphs(rng, n))[1:]
+    for edges in graphs:
+        edges = list(edges)
+        if n:
+            for _ in range(rng.choice([0, 1, 2])):
+                edges.insert(rng.randrange(len(edges) + 1), (rng.randrange(n),) * 2)
+        if edges and rng.random() < 0.5:
+            edges.extend(rng.sample(edges, rng.randint(1, len(edges))))
+        if rng.random() < 0.5:
+            edges = [WeightedEdge(u, v, rng.randint(0, 9), i) for i, (u, v) in enumerate(edges)]
+        yield edges
+
+
+def test_connectivity_matches_the_flow_route_copies():
+    rng = random.Random(1515)
+    seen = {"loops": 0, "parallel": 0, "weighted": 0, "split": 0, "classes": 0}
+    for n, _ in itertools.product(range(25), range(4)):
+        for edges in _flow_route_graphs(rng, n):
+            pairs = [tuple(sorted(edge_ends(e))) for e in edges]
+            seen["loops"] += any(u == v for u, v in pairs)
+            seen["parallel"] += len(set(pairs)) < len(pairs)
+            seen["weighted"] += any(isinstance(e, WeightedEdge) for e in edges)
+            seen["split"] += n > 1 and not is_connected(edges, n)
+            for k in range(-1, 6):
+                want = support.reference_edge_connectivity_at_least(edges, n, k)
+                assert edge_connectivity_at_least(edges, n, k) == want, (n, k, edges)
+            part = three_edge_components(edges, n)
+            assert part == Partition(support.reference_three_edge_components(edges, n)), (n, edges)
+            seen["classes"] += 1 < part.class_count < n
+    assert all(seen.values()), seen
+
+
 def test_cuts_of_size_at_most_c4():
     sides = cuts_of_size_at_most(C4, 4, 2)
     got = {frozenset(s.members) for s in sides}
