@@ -7,7 +7,7 @@ arrival number.
 A set of cut sides is one Python int whose bit ``mask`` stands for side
 ``mask`` (side_bits), and crossing counts are levels of such ints.  These
 enumerate all 2^(n-1) sides for the exhaustive min-cut cactus and the
-oracles; capped max-flow decides k-edge-connectivity and 3-edge-components.
+oracles; one tree of n-1 capped max-flows answers every connectivity question.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .errors import SizeGuardError
 
 # Exhaustive cut enumeration walks all 2^(n-1) vertex sides.
 CUT_ENUM_MAX_N = 24
-# Above this the pairwise max-flow of 3-edge-components refuses to run.
-THREE_ECC_MAX_N = 64
 
 
 @dataclass(frozen=True)
@@ -287,10 +285,10 @@ def _capacity_map(edges, n: int) -> dict[int, dict[int, int]]:
     return cap
 
 
-def _flow_value_capped(cap: dict[int, dict[int, int]], s: int, t: int, limit: int) -> int:
-    """Max s-t flow in the symmetric capacity map, stopping once limit is hit."""
+def _flow_value_capped(cap: dict[int, dict[int, int]], s: int, t: int, limit: int):
+    """Max s-t flow up to limit, and the last BFS's reach: below limit, a min cut's s side."""
     residual = {u: dict(nbrs) for u, nbrs in cap.items()}
-    flow = 0
+    flow, prev = 0, {s: None}
     while flow < limit:
         # BFS for a shortest augmenting path.
         prev = {s: None}
@@ -303,51 +301,56 @@ def _flow_value_capped(cap: dict[int, dict[int, int]], s: int, t: int, limit: in
                     queue.append(y)
         if t not in prev:
             break
-        bottleneck = limit - flow
-        y = t
+        path, y = [], t
         while prev[y] is not None:
-            x = prev[y]
-            bottleneck = min(bottleneck, residual[x][y])
-            y = x
-        y = t
-        while prev[y] is not None:
-            x = prev[y]
-            residual[x][y] -= bottleneck
-            residual[y][x] = residual[y].get(x, 0) + bottleneck
-            y = x
-        flow += bottleneck
-    return flow
+            path.append((prev[y], y))
+            y = prev[y]
+        push = min([limit - flow] + [residual[x][y] for x, y in path])
+        for x, y in path:
+            residual[x][y] -= push
+            residual[y][x] += push
+        flow += push
+    return flow, prev.keys()
+
+
+def _cut_tree(edges, n: int, limit: int) -> tuple[list[int], list[int]]:
+    """Gusfield's flow-equivalent tree (SIAM J. Comput. 1990), each flow capped at limit.
+
+    Vertex s >= 1 hangs from parent[s] < s with value[s] = min(lambda(s, parent[s]), limit),
+    and min(lambda(u, v), limit) is the least value on the u-v tree path.  A flow below limit
+    re-hangs the later vertices on its cut's s side; one reaching limit re-hangs nothing, as
+    then min(lambda(i, s), limit) = min(lambda(i, t), limit) for every i.
+    """
+    cap = _capacity_map(edges, n)
+    parent, value = [0] * n, [limit] * n
+    for s in range(1, n):
+        t = parent[s]
+        value[s], reached = _flow_value_capped(cap, s, t, limit)
+        if value[s] < limit:
+            for i in range(s + 1, n):
+                if parent[i] == t and i in reached:
+                    parent[i] = s
+    return parent, value
+
+
+def min_cut_capped(edges, n: int, limit: int) -> int:
+    """min(edge connectivity, limit); limit when n <= 1, which has no cut."""
+    return min(_cut_tree(edges, n, limit)[1], default=limit)
 
 
 def edge_connectivity_at_least(edges, n: int, k: int) -> bool:
-    """Whether the multigraph is k-edge-connected, by flows capped at k from vertex 0."""
+    """Whether the multigraph is k-edge-connected, read off the tree capped at k."""
     edges = list(edges)
     check_endpoints(edges, n)
-    if k <= 0 or n <= 1:
-        return True
-    cap = _capacity_map(edges, n)
-    if any(sum(nbrs.values()) < k for nbrs in cap.values()):
-        return False
-    return all(_flow_value_capped(cap, 0, t, k) >= k for t in range(1, n))
+    return k <= 0 or min_cut_capped(edges, n, k) >= k
 
 
 def three_edge_components(edges, n: int) -> Partition:
-    """Partition vertices into classes pairwise connected by 3 edge-disjoint paths.
-
-    Pairwise max-flow capped at 3, skipping pairs already merged and pairs
-    in different connected components.
-    """
+    """Classes of vertices joined by 3 edge-disjoint paths: the tree edges of value 3 join them."""
     edges = list(edges)
     check_endpoints(edges, n)
-    if n > THREE_ECC_MAX_N:
-        raise SizeGuardError(f"3-edge-components needs n <= {THREE_ECC_MAX_N}, got {n}")
-    cap = _capacity_map(edges, n)
-    uf = UnionFind(n)
-    comp = connected_components(edges, n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if uf.same(u, v) or not comp.same(u, v):
-                continue
-            if _flow_value_capped(cap, u, v, 3) >= 3:
-                uf.union(u, v)
-    return Partition.from_union_find(uf)
+    parent, value = _cut_tree(edges, n, 3)
+    label = list(range(n))
+    for s in range(1, n):
+        label[s] = label[parent[s]] if value[s] >= 3 else s
+    return Partition(label)

@@ -29,6 +29,7 @@ from .graph_core import (
     cut_size_table,  # noqa: F401  (benchmark/spans.py wraps it here)
     edge_connectivity_at_least,
     is_connected,
+    min_cut_capped,
 )
 from .oracles import (
     KCAP_MAX_LINKS,
@@ -204,10 +205,7 @@ def kcap_link_arrival(
         base_edges = list(base_edges)
         if not is_connected(base_edges, n):
             raise ValueError("base graph must be connected")
-        exact = edge_connectivity_at_least(base_edges, n, k - 1) and not (
-            edge_connectivity_at_least(base_edges, n, k)
-        )
-        if not exact:
+        if min_cut_capped(base_edges, n, k) != k - 1:
             raise ValueError(f"augmentation to {k} needs a base min cut of exactly {k - 1}")
         cactus = cactus_build(base_edges, n)
     check_endpoints(links, cactus.n_original)

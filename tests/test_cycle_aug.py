@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from streamaug.cycle_aug_stream import UnweightedArcStore, WeightedAugState
-from streamaug.errors import Infeasible, SizeGuardError
+from streamaug.errors import Infeasible
 from streamaug.graph_core import WeightedEdge, three_edge_components
 
 import support
@@ -425,14 +425,11 @@ def test_interval_bitsets_match_the_three_ecc_store_after_every_insert():
     assert inserts > 2000
 
 
-def test_store_screens_past_the_generic_vertex_guard():
-    # three_edge_components refuses n > 64; the interval bitsets have no
-    # guard, and two vertices share a class exactly when 3 edge-disjoint
-    # paths join them in the cycle plus every ingested link of the chain
+def test_store_matches_three_edge_components_past_sixty_four_vertices():
+    # two vertices share a class exactly when 3 edge-disjoint paths join
+    # them in the cycle plus every ingested link of the chain
     rng = random.Random(49)
     for n, m in ((80, 90), (100, 110)):
-        with pytest.raises(SizeGuardError):
-            three_edge_components(_ring(n), n)
         state = WeightedAugState(n, Fraction(1, 2))
         ingested = []
         for i in range(m):
@@ -451,6 +448,7 @@ def test_store_screens_past_the_generic_vertex_guard():
             edges = _ring(n) + chain
             part = state.partition(k)
             assert 1 < part.class_count < n
+            assert three_edge_components(edges, n) == part
             # 3-edge-connectivity is an equivalence, so checking every
             # vertex against its class representative and every pair of
             # representatives decides every vertex pair
@@ -462,3 +460,15 @@ def test_store_screens_past_the_generic_vertex_guard():
             for i, a in enumerate(reps):
                 for b in reps[i + 1 :]:
                     assert support.nx_pair_flow(edges, n, a, b) < 3
+
+
+def test_three_edge_components_of_a_500_ring_with_chords():
+    rng = random.Random(500)
+    n = 500
+    chords = [tuple(rng.sample(range(n), 2)) for _ in range(500)]
+    edges = _ring(n) + chords
+    part = three_edge_components(edges, n)
+    assert 1 < part.class_count < n
+    for _ in range(40):
+        u, v = rng.sample(range(n), 2)
+        assert part.same(u, v) == (support.nx_pair_flow(edges, n, u, v) >= 3), (u, v)

@@ -13,6 +13,7 @@ import support
 from streamaug import SizeGuardError, WeightedEdge, cuts_of_size_at_most, three_edge_components
 from streamaug.graph_core import (
     Partition,
+    _cut_tree,
     UnionFind,
     connected_components,
     cut_size_table,
@@ -225,6 +226,35 @@ def test_connectivity_matches_the_flow_route_copies():
             assert part == Partition(support.reference_three_edge_components(edges, n)), (n, edges)
             seen["classes"] += 1 < part.class_count < n
     assert all(seen.values()), seen
+
+
+def _tree_path_min(parent, value, u, v):
+    """The least value on the tree path between u and v; parents have smaller ids."""
+    least = None
+    while u != v:
+        if u < v:
+            u, v = v, u
+        least = value[u] if least is None else min(least, value[u])
+        u = parent[u]
+    return least
+
+
+def test_cut_tree_path_minima_are_capped_pair_flows():
+    rng = random.Random(2215)
+    checked = 0
+    for n in range(2, 23):
+        for edges in _flow_route_graphs(rng, n):
+            pairs = list(itertools.combinations(range(n), 2))
+            pairs = rng.sample(pairs, min(len(pairs), 15))
+            flows = {(u, v): support.nx_pair_flow(edges, n, u, v) for u, v in pairs}
+            for limit in range(1, 7):
+                parent, value = _cut_tree(edges, n, limit)
+                assert all(parent[s] < s for s in range(1, n))
+                for (u, v), flow in flows.items():
+                    got = _tree_path_min(parent, value, u, v)
+                    assert got == min(flow, limit), (n, limit, u, v, edges)
+                    checked += 1
+    assert checked > 9_000
 
 
 def test_cuts_of_size_at_most_c4():
