@@ -309,6 +309,7 @@ def validate_certificate(full_edges, cert_edges, n: int, k: int) -> bool:
     cert must be a sub-multiset of full; every side crossed by at most k full
     edges must be crossed by exactly the same edges, hence the same count.
     """
+    full_edges, cert_edges = list(full_edges), list(cert_edges)
     full_levels = cut_size_table(full_edges, n, k + 1)
     cert_levels = cut_size_table(cert_edges, n, k + 1)
     full_pairs = Counter(tuple(sorted(edge_ends(e))) for e in full_edges)

@@ -287,6 +287,17 @@ def test_certificate_refuses_endpoints_outside_the_vertex_range():
                 validate_certificate(full, [], n, 1)
 
 
+def test_certificate_reads_iterators_like_lists():
+    # both edge arguments are read twice: once for the cut table and once
+    # for the sub-multiset check
+    cases = [(TRIANGLE, [(0, 1)], 3, 0), (TRIANGLE, [(0, 1), (1, 2)], 3, 2), (C4, C4, 4, 2)]
+    for full, cert, n, k in cases:
+        want = validate_certificate(full, cert, n, k)
+        assert validate_certificate(iter(full), iter(cert), n, k) == want
+        assert validate_certificate(iter(full), cert, n, k) == want
+        assert validate_certificate(full, iter(cert), n, k) == want
+
+
 def test_certificate_respects_multiplicity():
     full = [(0, 1), (0, 1), (0, 1)]
     assert validate_certificate(full, [(0, 1), (0, 1)], 2, 2)
