@@ -1,8 +1,8 @@
 """Exact geometric weight banding.
 
 Band boundaries are powers of a rational base, kept as Fractions so that
-integer weights near a boundary are always classified exactly; float
-logarithms are never consulted.
+integer weights near a boundary are always classified exactly; a float
+logarithm is at most a starting guess that exact powers then correct.
 """
 
 from __future__ import annotations
@@ -64,15 +64,18 @@ class GeometricBands:
         return self.lower(j) <= w < self.lower(j + 1)
 
 
+def _ln(x: Fraction) -> float:  # from the ints, since x itself may not fit a float
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
 def ceil_power_index(base, target) -> int:
-    """Smallest integer b >= 0 with base^b >= target."""
-    base = as_fraction(base)
-    target = as_fraction(target)
+    """Smallest integer b >= 0 with base^b >= target: a float guess, stepped on exact powers."""
+    base, target = as_fraction(base), as_fraction(target)
     if base <= 1:
         raise ValueError("base must exceed 1")
-    b = 0
-    power = Fraction(1)
-    while power < target:
-        power *= base
+    b = max(0, math.ceil(_ln(max(target, Fraction(1))) / _ln(base)))
+    while b > 0 and base ** (b - 1) >= target:
+        b -= 1
+    while base**b < target:
         b += 1
     return b

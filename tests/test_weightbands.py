@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -79,3 +80,40 @@ def test_memoised_lookups_stay_consistent():
     first = [bands.index(w) for w in (5, 5, 17, 10**12, 17)]
     second = [bands.index(w) for w in (5, 5, 17, 10**12, 17)]
     assert first == second
+
+
+
+def test_ceil_power_index_matches_the_step_loop():
+    rng = random.Random(3175)
+    bases = [Fraction(3, 2), Fraction(2), Fraction(11, 10), Fraction(101, 100), Fraction(20)]
+    bases += [1.5, 1.1, 1 + 0.05, 1 + 1 / 3, 1000.0]
+    tiny = Fraction(1, 10**40)
+    cases = 0
+    for raw in bases:
+        base = as_fraction(raw)
+        # the step loop: powers[b] = base**b, multiplied up past every target
+        powers = [Fraction(1)]
+        while powers[-1] < 10**13:
+            powers.append(powers[-1] * base)
+        targets = [0, -3, Fraction(-1, 7), Fraction(1, 2), 1, 1.0, 2, 0.999, 1 + 1e-12]
+        targets += [rng.randint(2, 10 ** rng.randint(1, 12)) for _ in range(40)]
+        targets += [Fraction(rng.randint(1, 10**9), rng.randint(1, 10**6)) for _ in range(40)]
+        targets += [rng.uniform(0.5, 10**6) for _ in range(20)]
+        # exact powers and their nearest neighbours on either side
+        for power in rng.sample(powers[:-1], min(len(powers) - 1, 60)):
+            targets += [power, power - tiny, power + tiny, power * (1 + tiny)]
+        for target in targets:
+            want = bisect_left(powers, as_fraction(target))
+            assert ceil_power_index(raw, target) == want, (raw, target)
+            cases += 1
+    assert cases > 2500
+
+
+def test_ceil_power_index_with_a_float_epsilon_near_zero():
+    # the CLI passes 1 + epsilon as a float: a denominator near 2^52, so the
+    # answer's exact power has hundreds of thousands of bits
+    eps = 0.001
+    base, target = as_fraction(1 + eps), as_fraction(32 / eps)
+    b = ceil_power_index(1 + eps, 32 / eps)
+    assert b == 10379
+    assert base ** (b - 1) < target <= base**b
