@@ -346,7 +346,7 @@ def edge_connectivity_at_least(edges, n: int, k: int) -> bool:
 
 
 def three_edge_components(edges, n: int) -> Partition:
-    """Classes of vertices joined by 3 edge-disjoint paths: the tree edges of value 3 join them."""
+    """Vertices grouped by 3 edge-disjoint paths: the cap-3 tree's edges of value 3 join them."""
     edges = list(edges)
     check_endpoints(edges, n)
     parent, value = _cut_tree(edges, n, 3)

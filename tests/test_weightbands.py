@@ -85,7 +85,6 @@ def test_memoised_lookups_stay_consistent():
     assert first == second
 
 
-
 def test_ceil_power_index_matches_the_step_loop():
     rng = random.Random(3175)
     bases = [Fraction(3, 2), Fraction(2), Fraction(11, 10), Fraction(101, 100), Fraction(20)]
