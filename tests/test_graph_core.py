@@ -13,8 +13,8 @@ import support
 from streamaug import SizeGuardError, WeightedEdge, cuts_of_size_at_most, three_edge_components
 from streamaug.graph_core import (
     Partition,
-    _cut_tree,
     UnionFind,
+    _cut_tree,
     connected_components,
     cut_size_table,
     edge_connectivity_at_least,
