@@ -84,6 +84,69 @@ def random_cactus_edges(
     return size, edges
 
 
+def greedy_high_girth_pairs(rng: random.Random, n: int, hops: int) -> list[tuple[int, int]]:
+    """Vertex pairs in random order, each skipped when the pairs kept so far
+    already join it by a path of at most hops edges, so the kept graph has
+    girth above hops + 1."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    kept = []
+    for u, v in pairs:
+        reached = {u}
+        frontier = {u}
+        for _ in range(hops):
+            frontier = {y for x in frontier for y in adj[x]} - reached
+            reached |= frontier
+        if v not in reached:
+            kept.append((u, v))
+            adj[u].add(v)
+            adj[v].add(u)
+    return kept
+
+
+# ---------------------------------------------------------------------------
+# spanner invariants read through the store's public accessors
+
+
+def class_girth_violated(state, t: int) -> bool:
+    """Whether a stored band closes a cycle of at most 2t edges, or a
+    self-loop, on the supernodes of its bucket's parity prefix."""
+    limit = 2 * t
+    for j in state.band_indices():
+        k = state.bucket_of_band(j)
+        prefix = state.parity_prefix_partition(k % 2, k)
+        adj: dict[int, list[tuple[int, int]]] = {}
+        for idx, e in enumerate(state.band_edges(j)):
+            a, b = prefix.label(e.u), prefix.label(e.v)
+            if a == b:
+                return True
+            adj.setdefault(a, []).append((b, idx))
+            adj.setdefault(b, []).append((a, idx))
+        for start in adj:
+            # BFS that tracks the edge used to enter each node; a repeat
+            # visit within limit/2 steps on both sides means a short cycle
+            seen = {start: (0, -1)}
+            queue = [start]
+            while queue:
+                nxt = []
+                for node in queue:
+                    d, via = seen[node]
+                    if d >= limit:
+                        continue
+                    for nb, idx in adj[node]:
+                        if idx == via:
+                            continue
+                        if nb in seen:
+                            if seen[nb][0] + d + 1 <= limit:
+                                return True
+                            continue
+                        seen[nb] = (d + 1, idx)
+                        nxt.append(nb)
+                queue = nxt
+    return False
+
+
 # ---------------------------------------------------------------------------
 # connectivity oracles via networkx
 

@@ -61,40 +61,6 @@ def _ring(n: int) -> list[tuple[int, int]]:
     return [(i, (i + 1) % n) for i in range(n)]
 
 
-def _class_girth_violated(state: SpannerState, t: int) -> bool:
-    limit = 2 * t
-    for j in state.band_indices():
-        k = state.bucket_of_band(j)
-        prefix = state.parity_prefix_partition(k % 2, k)
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for idx, e in enumerate(state.band_edges(j)):
-            a, b = prefix.label(e.u), prefix.label(e.v)
-            if a == b:
-                return True
-            adj.setdefault(a, []).append((b, idx))
-            adj.setdefault(b, []).append((a, idx))
-        for start in adj:
-            seen = {start: (0, -1)}
-            queue = [start]
-            while queue:
-                nxt = []
-                for node in queue:
-                    d, via = seen[node]
-                    if d >= limit:
-                        continue
-                    for nb, idx in adj[node]:
-                        if idx == via:
-                            continue
-                        if nb in seen:
-                            if seen[nb][0] + d + 1 <= limit:
-                                return True
-                            continue
-                        seen[nb] = (d + 1, idx)
-                        nxt.append(nb)
-                queue = nxt
-    return False
-
-
 def test_c01_spanner_stretch_on_random_weighted_streams():
     # every input edge must stay within (2t-1)(1+eps) of its weight in the
     # stored subgraph; 200 streams, n up to 100, weights up to 10^18,
@@ -174,7 +140,7 @@ def test_c03_stored_classes_never_close_short_cycles():
             for i in range(3 * n):
                 u, v = rng.sample(range(n), 2)
                 state.insert(WeightedEdge(u, v, _wide_weight(rng, 9), i))
-                if _class_girth_violated(state, t):
+                if support.class_girth_violated(state, t):
                     dirty += 1
                 checks += 1
             streams += 1

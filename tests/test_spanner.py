@@ -9,7 +9,8 @@ import pytest
 
 import support
 from streamaug import SpannerState, WeightedEdge
-from streamaug.graph_core import UnionFind
+from streamaug.graph_core import Partition
+from streamaug.weightbands import GeometricBands, ceil_power_index
 
 HALF = Fraction(1, 2)
 
@@ -174,44 +175,6 @@ def test_stretch_bound_on_fifty_vertex_graph():
     assert _stretch_ok(state, ingested, 2, HALF)
 
 
-def _class_girth_violated(state: SpannerState, t: int) -> bool:
-    # look for a cycle of <= 2t edges in any stored class, viewed on the
-    # supernodes of the matching parity prefix
-    limit = 2 * t
-    for j in state.band_indices():
-        k = state.bucket_of_band(j)
-        prefix = state.parity_prefix_partition(k % 2, k)
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for idx, e in enumerate(state.band_edges(j)):
-            a, b = prefix.label(e.u), prefix.label(e.v)
-            if a == b:
-                return True
-            adj.setdefault(a, []).append((b, idx))
-            adj.setdefault(b, []).append((a, idx))
-        for start in adj:
-            # BFS that tracks the edge used to enter each node; a repeat
-            # visit within limit/2 steps on both sides means a short cycle
-            seen = {start: (0, -1)}
-            queue = [start]
-            while queue:
-                nxt = []
-                for node in queue:
-                    d, via = seen[node]
-                    if d >= limit:
-                        continue
-                    for nb, idx in adj[node]:
-                        if idx == via:
-                            continue
-                        if nb in seen:
-                            if seen[nb][0] + d + 1 <= limit:
-                                return True
-                            continue
-                        seen[nb] = (d + 1, idx)
-                        nxt.append(nb)
-                queue = nxt
-    return False
-
-
 def test_stored_classes_have_no_short_cycles():
     rng = random.Random(616)
     for t in (2, 3):
@@ -220,7 +183,24 @@ def test_stored_classes_have_no_short_cycles():
         for i in range(70):
             u, v = rng.sample(range(n), 2)
             state.insert(WeightedEdge(u, v, rng.randint(0, 10**10), i))
-            assert not _class_girth_violated(state, t)
+            assert not support.class_girth_violated(state, t)
+
+
+def test_high_girth_stream_is_kept_whole():
+    # a graph of girth above 2t gives no edge a detour of at most 2t-1
+    # hops, so every (2t-1+eps)-spanner keeps all of it: each insert is
+    # accepted and evicts nothing, under unit weights and under weights
+    # within a factor two of W = 10^9
+    for t in (2, 3):
+        rng = random.Random(60 + t)
+        pairs = support.greedy_high_girth_pairs(rng, 60, 2 * t - 1)
+        assert len(pairs) > 60
+        top = 10**9
+        for weigh in (lambda: 1, lambda: rng.randint(top // 2, top)):
+            state = SpannerState(60, t, HALF)
+            for i, (u, v) in enumerate(pairs):
+                assert state.insert(WeightedEdge(u, v, weigh(), i)) == (True, []), (t, i)
+            assert state.stored_count == state.peak_stored == len(pairs)
 
 
 def test_no_stored_edge_is_a_prefix_self_loop():
@@ -299,45 +279,139 @@ def test_bucket_filled_late_contracts_lighter_buckets():
 # -- incremental re-certification against the full pass ----------------------
 
 
-class _FullPassSpanner(SpannerState):
-    """Reference re-certification that the incremental path must match.
+def _cert_order(e: WeightedEdge) -> tuple[int, int, int, int]:
+    return (e.w, e.arrival, min(e.u, e.v), max(e.u, e.v))
 
-    Every insert rebuilds the parity-prefix contraction from the stored
-    edges and re-runs the greedy pass over the whole bucket of the new edge,
-    then over each higher bucket until the contraction stops changing.
+
+def _component_labels(n: int, pairs) -> list[int]:
+    """Per vertex, the smallest vertex of its component in the graph of pairs."""
+    adj: dict[int, list[int]] = {}
+    for u, v in pairs:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    label = list(range(n))
+    seen = set()
+    for s in range(n):
+        if s in seen:
+            continue
+        seen.add(s)
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            label[x] = s
+            for y in adj.get(x, ()):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return label
+
+
+def _joined_within(adj: dict[int, set[int]], s: int, g: int, hops: int) -> bool:
+    """Whether adj has an s-g path of at most hops edges."""
+    reached, frontier = {s}, {s}
+    for _ in range(hops):
+        if g in reached or not frontier:
+            break
+        frontier = {y for x in frontier for y in adj.get(x, ())} - reached
+        reached |= frontier
+    return g in reached
+
+
+def _link(adj: dict[int, set[int]], a: int, b: int) -> None:
+    adj.setdefault(a, set()).add(b)
+    adj.setdefault(b, set()).add(a)
+
+
+class _FullPassSpanner:
+    """Reference spanner that re-runs the greedy pass over whole buckets.
+
+    It shares no state and no helper with SpannerState.  It keeps its own
+    band lists and tests an arriving edge's distance on the raw edges of its
+    band.  After an accepted edge it re-runs the greedy keep/delete pass
+    over the edge's bucket and then over every higher bucket of the same
+    parity, each against the contraction of the stored zero edges and
+    lighter same-parity buckets, rebuilt from scratch.  A zero-weight edge
+    re-runs the pass over every bucket.  A bucket whose contraction did not
+    change is a fixed point, so the extra passes delete nothing unless the
+    store under test skipped a pass it needed.
     """
 
-    def _prefix_uf(self, parity, k):
-        uf = UnionFind(self.n)
-        for e in self.zero_edges():
-            uf.union(e.u, e.v)
-        for j in self.band_indices():
-            kk = self.bucket_of_band(j)
-            if kk < k and kk % 2 == parity:
-                for e in self.band_edges(j):
-                    uf.union(e.u, e.v)
-        return uf
+    def __init__(self, n: int, t: int, eps: Fraction):
+        self.n = n
+        self.hops = 2 * t - 1
+        self.bands = GeometricBands(1 + eps)
+        self.width = ceil_power_index(1 + eps, Fraction(2 * n * n) / eps)
+        self.zero: list[WeightedEdge] = []
+        self.kept: dict[int, list[WeightedEdge]] = {}
+        self.stored_count = 0
+        self.peak_stored = 0
 
-    def _recert_from(self, k0, e):
-        parity = k0 % 2
-        prefix = self._prefix_uf(parity, k0)
-        evicted = self._recert_bucket(k0, prefix)
-        higher = [k for k in self._nonempty_buckets(parity) if k > k0]
-        if e in evicted or not higher:
-            return evicted
-        with_e, without_e = prefix, prefix.copy()
-        for edge in self._bucket_edges(k0):
-            with_e.union(edge.u, edge.v)
-            if edge != e:
-                without_e.union(edge.u, edge.v)
-        for kk in higher:
-            if without_e.same(e.u, e.v):
-                break
-            evicted.extend(self._recert_bucket(kk, with_e))
-            for edge in self._bucket_edges(kk):
-                with_e.union(edge.u, edge.v)
-                without_e.union(edge.u, edge.v)
-        return evicted
+    def edges(self) -> list[WeightedEdge]:
+        out = self.zero + [e for band in self.kept.values() for e in band]
+        return sorted(out, key=lambda e: e.arrival)
+
+    def _prefix_labels(self, parity: int, k: int) -> list[int]:
+        pairs = [(e.u, e.v) for e in self.zero]
+        for j, band in self.kept.items():
+            if j // self.width < k and j // self.width % 2 == parity:
+                pairs += [(e.u, e.v) for e in band]
+        return _component_labels(self.n, pairs)
+
+    def parity_prefix_partition(self, parity: int, k: int) -> Partition:
+        return Partition(self._prefix_labels(parity, k))
+
+    def _full_pass(self, k: int) -> list[WeightedEdge]:
+        label = self._prefix_labels(k % 2, k)
+        bands = range(k * self.width, (k + 1) * self.width)
+        bucket = [e for j in bands for e in self.kept.get(j, ())]
+        pairs: set[frozenset[int]] = set()
+        kept_in_band: dict[int, dict[int, set[int]]] = {}
+        deleted = []
+        for e in sorted(bucket, key=_cert_order):
+            a, b = label[e.u], label[e.v]
+            mine = kept_in_band.setdefault(self.bands.index(e.w), {})
+            if a == b or frozenset((a, b)) in pairs or _joined_within(mine, a, b, self.hops):
+                deleted.append(e)
+            else:
+                pairs.add(frozenset((a, b)))
+                _link(mine, a, b)
+        for e in deleted:
+            band = self.kept[self.bands.index(e.w)]
+            band.pop(next(i for i, x in enumerate(band) if x is e))
+        self.stored_count -= len(deleted)
+        return deleted
+
+    def _store(self) -> None:
+        self.stored_count += 1
+        self.peak_stored = max(self.peak_stored, self.stored_count)
+
+    def _passes(self, parity: int, k0: int) -> list[WeightedEdge]:
+        buckets = {j // self.width for j, band in self.kept.items() if band}
+        out = []
+        for k in sorted(k for k in buckets if k >= k0 and k % 2 == parity):
+            out += self._full_pass(k)
+        return out
+
+    def insert(self, e: WeightedEdge) -> tuple[bool, list[WeightedEdge]]:
+        if e.u == e.v:
+            return False, [e]
+        if e.w == 0:
+            forest = _component_labels(self.n, [(x.u, x.v) for x in self.zero])
+            if forest[e.u] == forest[e.v]:
+                return False, [e]
+            self.zero.append(e)
+            self._store()
+            return True, self._passes(0, 0) + self._passes(1, 0)
+        j = self.bands.index(e.w)
+        raw: dict[int, set[int]] = {}
+        for x in self.kept.get(j, ()):
+            _link(raw, x.u, x.v)
+        if _joined_within(raw, e.u, e.v, self.hops):
+            return False, [e]
+        self.kept.setdefault(j, []).append(e)
+        self._store()
+        k0 = j // self.width
+        return True, self._passes(k0 % 2, k0)
 
 
 def _assert_same_as_full_pass(n, t, eps, triples):
@@ -385,3 +459,21 @@ def test_incremental_recert_matches_full_pass_on_benchmark_shaped_streams():
         for _ in range(1000)
     ]
     _assert_same_as_full_pass(150, 2, HALF, wide)
+
+
+def test_incremental_recert_matches_full_pass_on_dense_stretch_five_streams():
+    # t=3 on 20..40 vertices with up to 600 inserts: bands hold many short
+    # supernode paths, so one accepted edge often displaces several later
+    # band edges, and each displaced edge's hop test must see neither the
+    # edges deleted before it in the same call nor any edge after it
+    for seed in range(120):
+        rng = random.Random(4400 + seed)
+        n = rng.randint(20, 40)
+        top = rng.choice((10, 1000))
+        eps = (Fraction(1, 10), HALF, Fraction(1))[seed % 3]
+        triples = []
+        for _ in range(rng.randint(80, 600)):
+            u, v = rng.sample(range(n), 2)
+            w = 0 if rng.random() < 0.05 else rng.randint(1, top)
+            triples.append((u, v, w))
+        _assert_same_as_full_pass(n, 3, eps, triples)
