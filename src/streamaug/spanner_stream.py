@@ -18,56 +18,92 @@ of e's ends.  The contractions are kept per bucket and only grow, since a
 deleted edge is always parallel to kept material.  Higher buckets whose
 contraction e changes, and the whole store after a zero-weight edge, still
 get the full pass.
+
+Four indexes keep that re-check local, each updated when an edge is
+stored and when one is dropped:
+
+- per band, the stored edges in survivor order (``_cert_key``), with a
+  parallel key list kept by bisection;
+- per band, the raw vertex adjacency, for the distance test of insert();
+- per band, the supernode adjacency under its bucket's parity-prefix
+  contraction, each entry the other supernode with the edge and its key;
+- per bucket, the stored edge on each supernode pair.
+
+Supernodes are roots of the bucket's prefix UnionFind, so the last two
+indexes stay valid while those roots stay the same.  Path compression
+never changes a root; only a union does.  Every union that changes a
+bucket's prefix is followed by the full pass over that bucket, which
+rebuilds both indexes from what it keeps (a zero-weight edge re-runs the
+pass over every bucket), and a new bucket's contraction starts as a copy,
+with the same roots, of the one below it.  Hop tests are breadth-first
+searches over the supernode adjacency that use only edges sorting before
+the edge under test, so no insert sorts or scans its band or bucket.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .graph_core import Partition, UnionFind, WeightedEdge
 from .weightbands import GeometricBands, as_fraction, ceil_power_index
 
+# An adjacency maps node -> {other node: (key, edge)}; stored pairs are
+# distinct within a band, so each pair holds at most one entry.  The
+# distance test refuses an edge whose ends a stored band edge already
+# joins, so keys are distinct within a band too.
+_Key = tuple[int, int, int, int]
+_Entry = tuple[_Key, WeightedEdge]
+_Adj = dict[int, dict[int, _Entry]]
 
-def _cert_key(e: WeightedEdge) -> tuple[int, int, int, int]:
+# Sorts after every key, so a hop test below it uses every edge.
+_ANY_KEY = (math.inf,)
+
+
+def _cert_key(e: WeightedEdge) -> _Key:
     # Survivor order for re-certification: lighter first, then earlier,
     # then smaller endpoint pair.
     return (e.w, e.arrival, min(e.u, e.v), max(e.u, e.v))
 
 
-def _hops_at_most(adj: dict, s: int, g: int, limit: int) -> bool:
-    """BFS with a depth cap; adj maps node -> iterable of neighbours."""
-    if s == g:
-        return True
-    if s not in adj:
-        return False
-    dist = {s: 0}
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        d = dist[x] + 1
-        if d > limit:
-            break
-        for y in adj.get(x, ()):
-            if y not in dist:
-                if y == g:
-                    return True
-                dist[y] = d
-                queue.append(y)
-    return False
+def _link(adj: _Adj, a: int, b: int, entry: _Entry) -> None:
+    adj.setdefault(a, {})[b] = entry
+    adj.setdefault(b, {})[a] = entry
 
 
-def _hop_dists(adj: dict, s: int, limit: int) -> dict[int, int]:
-    """Hop distance from s to every node within limit hops."""
+def _unlink(adj: _Adj, a: int, b: int, e: WeightedEdge) -> None:
+    """Remove the a-b entry of adj if it is e's."""
+    entry = adj.get(a, {}).get(b)
+    if entry is None or entry[1] is not e:
+        return
+    for x, y in ((a, b), (b, a)):
+        del adj[x][y]
+        if not adj[x]:
+            del adj[x]
+
+
+def _hop_dists(adj: _Adj, s: int, depth: int, below, goal=None) -> dict[int, int]:
+    """Hop distance from s to every node within depth hops.
+
+    Only entries whose key sorts before ``below`` are walked.  The search
+    stops as soon as it reaches ``goal``, so ``goal in result`` is the hop
+    test.
+    """
     dist = {s: 0}
-    frontier = [s]
-    for d in range(1, limit + 1):
+    # Every node but s is reached through an entry, so only s can be absent.
+    frontier = [s] if s in adj else []
+    for d in range(1, depth + 1):
         nxt = []
         for x in frontier:
-            for y in adj.get(x, ()):
-                if y not in dist:
+            for y, (key, _) in adj[x].items():
+                if y not in dist and key < below:
                     dist[y] = d
+                    if y == goal:
+                        return dist
                     nxt.append(y)
+        if not nxt:
+            break
         frontier = nxt
     return dist
 
@@ -97,7 +133,12 @@ class SpannerState:
         self.bucket_width = ceil_power_index(1 + eps, Fraction(2 * n * n) / eps)
         self._zero_uf = UnionFind(n)
         self._zero: list[WeightedEdge] = []
+        # The four indexes of the module docstring.
         self._bands_kept: dict[int, list[WeightedEdge]] = {}
+        self._band_keys: dict[int, list[_Key]] = {}
+        self._raw_adj: dict[int, _Adj] = {}
+        self._sup_adj: dict[int, _Adj] = {}
+        self._pairs: dict[int, dict[tuple[int, int], WeightedEdge]] = {}
         # _closure[k] joins the zero edges and every edge ever accepted into
         # a bucket of k's parity up to k.  Deleted edges are parallel to kept
         # material, so this is the contraction of the stored edges, and it
@@ -145,11 +186,14 @@ class SpannerState:
         ks = {j // self.bucket_width for j, kept in self._bands_kept.items() if kept}
         return sorted(k for k in ks if k % 2 == parity)
 
-    def _bucket_edges(self, k: int) -> list[WeightedEdge]:
+    def _bucket_edges(self, k: int) -> list[tuple[int, _Key, WeightedEdge]]:
+        """(band, key, edge) of every stored edge of bucket k, in key order."""
         lo = k * self.bucket_width
         out = []
         for j in range(lo, lo + self.bucket_width):
-            out.extend(self._bands_kept.get(j, ()))
+            kept = self._bands_kept.get(j)
+            if kept:
+                out.extend((j, key, e) for key, e in zip(self._band_keys[j], kept))
         return out
 
     def _prefix_uf(self, parity: int, k: int) -> UnionFind:
@@ -182,17 +226,20 @@ class SpannerState:
             # parities, so the whole store is re-certified.
             return True, self._recert_all()
         j = self._bands.index(e.w)
-        band_adj: dict[int, list[int]] = {}
-        for kept in self._bands_kept.get(j, ()):
-            band_adj.setdefault(kept.u, []).append(kept.v)
-            band_adj.setdefault(kept.v, []).append(kept.u)
-        if _hops_at_most(band_adj, e.u, e.v, self._hop_limit):
+        raw = self._raw_adj.get(j)
+        if raw and e.v in _hop_dists(raw, e.u, self._hop_limit, _ANY_KEY, goal=e.v):
             return False, [e]
-        self._bands_kept.setdefault(j, []).append(e)
+        key = _cert_key(e)
+        keys = self._band_keys.setdefault(j, [])
+        at = bisect_left(keys, key)
+        keys.insert(at, key)
+        self._bands_kept.setdefault(j, []).insert(at, e)
+        entry = (key, e)
+        _link(self._raw_adj.setdefault(j, {}), e.u, e.v, entry)
         self._bump()
         # The decision reports the distance-test outcome; the edge may still
         # appear in the eviction list when re-certification deletes it.
-        return True, self._recert_from(j // self.bucket_width, e)
+        return True, self._recert_from(j // self.bucket_width, entry)
 
     def _bump(self) -> None:
         self._stored += 1
@@ -209,36 +256,34 @@ class SpannerState:
         the same supernode pair, or when kept edges of its own band already
         give a path of at most 2t-1 supernode hops.  Deleted edges are
         always parallel to kept material, so contractions above this bucket
-        never change.
+        never change.  The kept edges become the bucket's supernode-pair
+        index and its bands' supernode adjacency under prefix.
         """
-        bucket = self._bucket_edges(k)
-        if not bucket:
-            return []
-        kept_pairs: set[tuple[int, int]] = set()
-        band_adj: dict[int, dict[int, list[int]]] = {}
+        pairs: dict[tuple[int, int], WeightedEdge] = {}
+        adjs: dict[int, _Adj] = {}
         deleted: list[WeightedEdge] = []
-        for e in sorted(bucket, key=_cert_key):
+        for j, key, e in self._bucket_edges(k):
+            adj = adjs.get(j)
+            if adj is None:
+                adj = adjs[j] = {}
             a, b = prefix.find(e.u), prefix.find(e.v)
             if a == b:
                 deleted.append(e)
                 continue
             pair = (a, b) if a < b else (b, a)
-            if pair in kept_pairs:
+            if pair in pairs:
                 deleted.append(e)
                 continue
-            j = self._bands.index(e.w)
-            adj = band_adj.setdefault(j, {})
-            if _hops_at_most(adj, a, b, self._hop_limit):
+            if b in _hop_dists(adj, a, self._hop_limit, key, goal=b):
                 deleted.append(e)
                 continue
-            kept_pairs.add(pair)
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        return self._drop(deleted)
+            pairs[pair] = e
+            _link(adj, a, b, (key, e))
+        self._pairs[k] = pairs
+        self._sup_adj.update(adjs)
+        return self._drop(deleted, k, prefix)
 
-    def _recert_inserted(
-        self, k0: int, e: WeightedEdge, prefix: UnionFind
-    ) -> list[WeightedEdge]:
+    def _recert_inserted(self, k0: int, entry: _Entry, prefix: UnionFind) -> list[WeightedEdge]:
         """_recert_bucket(k0, prefix) right after e joined bucket k0.
 
         Bucket k0 was a greedy fixed point before e arrived, so the pass
@@ -246,77 +291,76 @@ class SpannerState:
         e.  Either e falls to one of the three tests, alone, or e stays
         and displaces the one later bucket edge on its supernode pair, if
         any, and later edges of its own band whose short path runs through
-        e.  Those are hop-tested only when their supernodes lie close
-        enough to e's ends in the whole band; the filter never skips an
-        edge the full pass would delete.
+        e.  Such a path runs x..a, e, b..y for a later band edge (x, y),
+        so only edges with hops(a, x) + hops(b, y) <= 2t-2 in the band,
+        read either way round, are hop-tested, in key order.  Each test
+        walks only band edges that sort before the tested edge and were
+        not deleted in this call.
         """
-        label = prefix.labels()
-        a, b = label[e.u], label[e.v]
+        key, e = entry
+        a, b = prefix.find(e.u), prefix.find(e.v)
         if a == b:
-            return self._drop([e])
+            return self._drop([e], k0, prefix)
         pair = (a, b) if a < b else (b, a)
-        twin = None
-        for x in self._bucket_edges(k0):
-            if x is not e:
-                xa, xb = label[x.u], label[x.v]
-                if ((xa, xb) if xa < xb else (xb, xa)) == pair:
-                    # Stored pairs are distinct, so there is at most one.
-                    twin = x
-                    break
-        if twin is not None and _cert_key(twin) < _cert_key(e):
-            return self._drop([e])
-        band = sorted(self._bands_kept[self._bands.index(e.w)], key=_cert_key)
-        ends = [(label[x.u], label[x.v]) for x in band]
-        at = next(i for i, x in enumerate(band) if x is e)
-        adj: dict[int, list[int]] = {}
-        for xa, xb in ends[:at]:
-            adj.setdefault(xa, []).append(xb)
-            adj.setdefault(xb, []).append(xa)
+        pairs = self._pairs.setdefault(k0, {})
+        # Stored pairs are distinct, so there is at most one twin.
+        twin = pairs.get(pair)
+        if twin is not None and _cert_key(twin) < key:
+            return self._drop([e], k0, prefix)
+        adj = self._sup_adj.setdefault(self._bands.index(e.w), {})
         limit = self._hop_limit
-        if _hops_at_most(adj, a, b, limit):
-            return self._drop([e])
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+        if b in _hop_dists(adj, a, limit, key, goal=b):
+            return self._drop([e], k0, prefix)
+        pairs[pair] = e
+        _link(adj, a, b, entry)
         deleted = [] if twin is None else [twin]
-        if limit > 1 and at + 1 < len(band):
-            # A path through e of at most 2t-1 hops runs ax..a, e, b..bx or
-            # ax..b, e, a..bx, so each side is within 2t-2 hops in the band.
-            whole: dict[int, list[int]] = {}
-            for xa, xb in ends:
-                whole.setdefault(xa, []).append(xb)
-                whole.setdefault(xb, []).append(xa)
-            from_a = _hop_dists(whole, a, limit - 1)
-            from_b = _hop_dists(whole, b, limit - 1)
-            for x, (xa, xb) in zip(band[at + 1 :], ends[at + 1 :]):
-                if x is twin:
-                    continue
-                via = min(
-                    from_a.get(xa, limit) + from_b.get(xb, limit),
-                    from_b.get(xa, limit) + from_a.get(xb, limit),
-                )
-                if via < limit and _hops_at_most(adj, xa, xb, limit):
-                    deleted.append(x)
-                    continue
-                adj.setdefault(xa, []).append(xb)
-                adj.setdefault(xb, []).append(xa)
+        if limit > 1:
+            # e's entry replaced the twin's if they share a band, so the
+            # twin is in no walk from here on.
+            from_a = _hop_dists(adj, a, limit - 1, _ANY_KEY)
+            from_b = _hop_dists(adj, b, limit - 1, _ANY_KEY)
+            # Each candidate is met from both ends, under its one key.
+            later = {}
+            for x, dx in from_a.items():
+                for y, (xkey, edge) in adj[x].items():
+                    if xkey > key and dx + from_b.get(y, limit) < limit:
+                        later[xkey] = (x, y, edge)
+            for xkey in sorted(later):
+                x, y, edge = later[xkey]
+                if y in _hop_dists(adj, x, limit, xkey, goal=y):
+                    deleted.append(edge)
+                    # Later hop tests must not walk a deleted edge.
+                    _unlink(adj, x, y, edge)
         deleted.sort(key=_cert_key)
-        return self._drop(deleted)
+        return self._drop(deleted, k0, prefix)
 
-    def _drop(self, deleted: list[WeightedEdge]) -> list[WeightedEdge]:
-        """Remove re-certification deletions from the store; returns them."""
-        if deleted:
-            gone = {id(d) for d in deleted}
-            for j in {self._bands.index(d.w) for d in deleted}:
-                self._bands_kept[j] = [
-                    x for x in self._bands_kept[j] if id(x) not in gone
-                ]
-            self._stored -= len(deleted)
+    def _drop(self, deleted: list[WeightedEdge], k: int, prefix: UnionFind) -> list[WeightedEdge]:
+        """Remove bucket k's re-certification deletions from every index.
+
+        An edge the supernode indexes do not hold under prefix, because a
+        rebuild left it out or it was never entered, is skipped there.
+        Returns deleted.
+        """
+        pairs = self._pairs.get(k, {})
+        for x in deleted:
+            j = self._bands.index(x.w)
+            keys, kept = self._band_keys[j], self._bands_kept[j]
+            at = bisect_left(keys, _cert_key(x))
+            del keys[at], kept[at]
+            _unlink(self._raw_adj[j], x.u, x.v, x)
+            a, b = prefix.find(x.u), prefix.find(x.v)
+            _unlink(self._sup_adj.get(j, {}), a, b, x)
+            pair = (a, b) if a < b else (b, a)
+            if pairs.get(pair) is x:
+                del pairs[pair]
+        self._stored -= len(deleted)
         return deleted
 
-    def _recert_from(self, k0: int, e: WeightedEdge) -> list[WeightedEdge]:
+    def _recert_from(self, k0: int, entry: _Entry) -> list[WeightedEdge]:
+        e = entry[1]
         parity = k0 % 2
         prefix = self._prefix_uf(parity, k0)
-        evicted = self._recert_inserted(k0, e, prefix)
+        evicted = self._recert_inserted(k0, entry, prefix)
         if k0 not in self._closure:
             self._closure[k0] = prefix.copy()
         levels = sorted(kk for kk in self._closure if kk % 2 == parity and kk >= k0)

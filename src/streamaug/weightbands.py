@@ -36,7 +36,6 @@ class GeometricBands:
         # For integer weights, w >= base^j iff w >= ceil(base^j), so the
         # hot path can bisect plain ints.
         self._floors: list[int] = [1]
-        self._memo: dict[int, int] = {}
 
     def _grow(self, w: int) -> None:
         while self._floors[-1] <= w:
@@ -46,12 +45,9 @@ class GeometricBands:
     def index(self, w: int) -> int:
         if w < 1:
             raise ValueError(f"band index needs weight >= 1, got {w}")
-        j = self._memo.get(w)
-        if j is None:
+        if w >= self._floors[-1]:
             self._grow(w)
-            j = bisect_right(self._floors, w) - 1
-            self._memo[w] = j
-        return j
+        return bisect_right(self._floors, w) - 1
 
     def lower(self, j: int) -> Fraction:
         """Inclusive lower boundary base^j of band j."""

@@ -9,7 +9,7 @@ import pytest
 
 import support
 from streamaug import SpannerState, WeightedEdge
-from streamaug.graph_core import Partition
+from streamaug.graph_core import Partition, UnionFind
 from streamaug.weightbands import GeometricBands, ceil_power_index
 
 HALF = Fraction(1, 2)
@@ -274,6 +274,25 @@ def test_bucket_filled_late_contracts_lighter_buckets():
     accepted, evicted = state.insert(heavy)
     assert accepted
     assert evicted == [heavy]
+
+
+def test_one_bucket_inserts_never_scan_the_bucket_or_label_every_vertex(monkeypatch):
+    # every weight up to 50,000 shares bucket 0 at n=100, so no insert here
+    # changes a contraction: each one must stay local to its edge, reading
+    # single finds and the indexes, never a whole bucket or all n labels
+    state = SpannerState(100, 2, HALF)
+    assert state.bucket_of_band(state.band_of_weight(50_000)) == 0
+
+    def refuse(*args):
+        raise AssertionError("an insert read the whole bucket or every label")
+
+    monkeypatch.setattr(UnionFind, "labels", refuse)
+    monkeypatch.setattr(SpannerState, "_bucket_edges", refuse)
+    rng = random.Random(1500)
+    for i in range(1500):
+        u, v = rng.sample(range(100), 2)
+        state.insert(WeightedEdge(u, v, rng.randint(1, 50_000), i))
+    assert 0 < state.stored_count < 1500
 
 
 # -- incremental re-certification against the full pass ----------------------

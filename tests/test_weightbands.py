@@ -78,11 +78,27 @@ def test_ceil_power_index():
     assert ceil_power_index(1 + 0.001, 32 / 0.001) == 10379
 
 
-def test_memoised_lookups_stay_consistent():
+def test_repeated_lookups_give_the_same_band():
     bands = GeometricBands(Fraction(11, 10))
     first = [bands.index(w) for w in (5, 5, 17, 10**12, 17)]
     second = [bands.index(w) for w in (5, 5, 17, 10**12, 17)]
     assert first == second
+
+
+def test_state_grows_with_bands_not_with_distinct_weights():
+    # a band lookup keeps nothing per weight: after 10^4 distinct weights
+    # every container of the instance is bounded by the bands it spans
+    bands = GeometricBands(Fraction(11, 10))
+    rng = random.Random(77)
+    weights = rng.sample(range(1, 10**6), 10**4)
+    band_count = max(bands.index(w) for w in weights) + 1
+    sizes = {
+        name: len(value)
+        for name, value in vars(bands).items()
+        if isinstance(value, (list, dict, set, tuple))
+    }
+    assert sizes
+    assert all(size <= band_count + 1 for size in sizes.values()), (band_count, sizes)
 
 
 def test_ceil_power_index_matches_the_step_loop():
