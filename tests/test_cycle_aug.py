@@ -9,7 +9,9 @@ import pytest
 
 from streamaug.cycle_aug_stream import UnweightedArcStore, WeightedAugState
 from streamaug.errors import Infeasible
-from streamaug.graph_core import WeightedEdge, three_edge_components
+from streamaug.graph_core import Arc, WeightedEdge, three_edge_components
+from streamaug.oracles import exact_directed_cycle_cover
+from streamaug.weightbands import GeometricBands
 
 import support
 
@@ -330,49 +332,119 @@ def test_weighted_finalize_feasible_and_within_ratio():
 # -- interval bitsets against the generic 3-edge-connectivity route ---------
 
 
-class _ThreeEccStore(WeightedAugState):
-    """The store screening through ``three_edge_components`` on every question.
+class _ThreeEccStore:
+    """The weighted store written out plainly, sharing no code with it.
 
-    This is how the store worked before interval bitsets: each partition and
-    each kept link recomputed the 3-edge-connected components from scratch.
+    Only ``GeometricBands`` is borrowed.  The class forests are re-screened
+    with ``three_edge_components`` after every kept link, every arc table is
+    re-keyed after every insert by the smallest vertex of each component,
+    and the trivial mode keeps the cheapest link per pair.  This is how the
+    store worked before interval bitsets.
     """
 
+    def __init__(self, n, eps):
+        self.n = n
+        self.trivial = eps < Fraction(1, n)
+        self.fine = GeometricBands(1 + eps)
+        self.coarse = GeometricBands(Fraction(n) / eps)
+        self.best = {}
+        self.forest = {}
+        self.tables = {}
+        self.parts = {}  # partitions of the current forests, dropped by each insert
+        self.peak_stored = 0
+
+    def coarse_class_of(self, w):
+        return -1 if w == 0 else self.coarse.index(w)
+
+    @property
+    def stored_count(self):
+        tables = sum(len(t) for t in self.tables.values())
+        return len(self.best) + sum(len(f) for f in self.forest.values()) + tables
+
+    def forest_classes(self):
+        return sorted(k for k, kept in self.forest.items() if kept)
+
+    def forest_edges(self, k):
+        return list(self.forest.get(k, ()))
+
+    def _chain(self, k):
+        """The ring, the zero links and the kept links of classes k, k-2, ..., 0 or 1."""
+        edges = _ring(self.n) + self.forest.get(-1, [])
+        for j in sorted(self.forest):
+            if 0 <= j <= k and (k - j) % 2 == 0:
+                edges += self.forest[j]
+        return edges
+
     def partition(self, k):
-        if k not in self._parts:
-            edges = _ring(self.n) + list(self._forest.get(-1, ()))
-            for kk in range(k, -1, -2):
-                edges.extend(self._forest.get(kk, ()))
-            self._parts[k] = three_edge_components(edges, self.n)
-        return self._parts[k]
+        if k not in self.parts:
+            self.parts[k] = three_edge_components(self._chain(k), self.n)
+        return self.parts[k]
 
-    def _cleanup_from(self, kp):
-        if kp == -1:
-            self._clean_classes([-1], _ring(self.n))
-            zero = list(self._forest.get(-1, ()))
-            for parity in (0, 1):
-                ks = sorted(k for k in self._forest if k >= 0 and k % 2 == parity)
-                self._clean_classes(ks, _ring(self.n) + zero)
-        else:
-            parity = kp % 2
-            base = _ring(self.n) + list(self._forest.get(-1, ()))
-            for k in sorted(k for k in self._forest if 0 <= k < kp and k % 2 == parity):
-                base.extend(self._forest[k])
-            ks = sorted(k for k in self._forest if k >= kp and k % 2 == parity)
-            self._clean_classes(ks, base)
-
-    def _clean_classes(self, ks, base):
-        held = list(base)
+    def _screen(self, ks, held):
         part = three_edge_components(held, self.n)
         for k in ks:
             kept = []
-            for e in self._forest.get(k, ()):
-                if part.same(e.u, e.v):
-                    self._forest_count -= 1
-                    continue
-                kept.append(e)
-                held.append(e)
-                part = three_edge_components(held, self.n)
-            self._forest[k] = kept
+            for e in self.forest[k]:
+                if not part.same(e.u, e.v):
+                    kept.append(e)
+                    held = held + [e]
+                    part = three_edge_components(held, self.n)
+            self.forest[k] = kept
+
+    @staticmethod
+    def _better(a, b, side):
+        ka = (a.x if side == "lo" else -a.x, a.w, a.origin.arrival)
+        kb = (b.x if side == "lo" else -b.x, b.w, b.origin.arrival)
+        return a if ka <= kb else b
+
+    def _file(self, table, key, arc):
+        table[key] = arc if key not in table else self._better(table[key], arc, key[2])
+
+    def insert(self, link):
+        if self.trivial:
+            cur = self.best.get(link.pair)
+            if cur is None or (link.w, link.arrival) < (cur.w, cur.arrival):
+                self.best[link.pair] = link
+            self.peak_stored = max(self.peak_stored, self.stored_count)
+            return
+        kp = self.coarse_class_of(link.w)
+        self.forest.setdefault(kp, []).append(link)
+        self.peak_stored = max(self.peak_stored, self.stored_count)
+        self.parts = {}
+        if kp == -1:
+            self._screen([-1], _ring(self.n))
+        for parity in (0, 1) if kp == -1 else (kp % 2,):
+            ks = sorted(k for k in self.forest if k >= max(kp, 0) and k % 2 == parity)
+            if ks:
+                self._screen(ks, self._chain(ks[0] - 2))
+        for k, table in self.tables.items():
+            part = self.partition(k)
+            self.tables[k] = {}
+            for (_, fi, side), arc in table.items():
+                self._file(self.tables[k], (part.rep_of(arc.y), fi, side), arc)
+        if link.w >= 1:
+            part = self.partition(kp - 2)
+            table = self.tables.setdefault(kp - 2, {})
+            for x, y in ((link.u, link.v), (link.v, link.u)):
+                if not part.same(x, y):
+                    key = (part.rep_of(y), self.fine.index(link.w), "lo" if x < y else "hi")
+                    self._file(table, key, Arc(x, y, link.w, link))
+        self.peak_stored = max(self.peak_stored, self.stored_count)
+
+    def all_arcs(self):
+        links = sorted(self.best.values(), key=lambda e: e.arrival)
+        for k in sorted(self.forest):
+            links += self.forest[k]
+        arcs = [a for e in links for a in (Arc(e.u, e.v, e.w, e), Arc(e.v, e.u, e.w, e))]
+        for k in sorted(self.tables):
+            arcs += [self.tables[k][key] for key in sorted(self.tables[k])]
+        return arcs
+
+    def finalize(self):
+        chosen, _ = exact_directed_cycle_cover(self.n, self.all_arcs())
+        links = {a.origin.arrival: a.origin for a in chosen}
+        picked = [links[i] for i in sorted(links)]
+        return picked, sum(e.w for e in picked)
 
 
 def _finalize_outcome(state):
@@ -398,6 +470,26 @@ def _differential_stream(rng, n, m):
     return out
 
 
+def _run_side_by_side(n, eps, links):
+    """Feed both stores and compare everything observable after every insert."""
+    new, old = WeightedAugState(n, eps), _ThreeEccStore(n, eps)
+    for link in links:
+        new.insert(link)
+        old.insert(link)
+        assert new.stored_count == old.stored_count
+        assert new.peak_stored == old.peak_stored
+        assert new.forest_classes() == old.forest_classes()
+        for k in new.forest_classes():
+            assert new.forest_edges(k) == old.forest_edges(k)
+        if not old.trivial:
+            # every class the store screens or files arcs under
+            for k in {-1, *old.forest_classes(), *old.tables}:
+                assert new.partition(k) == old.partition(k)
+        assert new.all_arcs() == old.all_arcs()
+        assert _finalize_outcome(new) == _finalize_outcome(old)
+    return old
+
+
 def test_interval_bitsets_match_the_three_ecc_store_after_every_insert():
     rng = random.Random(48)
     epsilons = [Fraction(1, 40), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
@@ -406,23 +498,29 @@ def test_interval_bitsets_match_the_three_ecc_store_after_every_insert():
         n = 3 + trial % 22
         eps = epsilons[trial % len(epsilons)]
         m = rng.randint(1, 40 if n <= 12 else 10 if n <= 18 else 6)
-        new, old = WeightedAugState(n, eps), _ThreeEccStore(n, eps)
-        for link in _differential_stream(rng, n, m):
-            new.insert(link)
-            old.insert(link)
-            inserts += 1
-            assert new.stored_count == old.stored_count
-            assert new.peak_stored == old.peak_stored
-            assert new.forest_classes() == old.forest_classes()
-            for k in new.forest_classes():
-                assert new.forest_edges(k) == old.forest_edges(k)
-            if not new.is_trivial:
-                # every class the store screens or files arcs under
-                for k in {-1, *new.forest_classes(), *new._arcs}:
-                    assert new.partition(k) == old.partition(k)
-            assert new.all_arcs() == old.all_arcs()
-            assert _finalize_outcome(new) == _finalize_outcome(old)
+        links = _differential_stream(rng, n, m)
+        _run_side_by_side(n, eps, links)
+        inserts += len(links)
     assert inserts > 2000
+
+
+def test_wide_weights_match_the_three_ecc_store_with_several_classes_per_chain():
+    # weights log-uniform up to 10^18, about 10% zero, spread each parity
+    # chain over several coarse classes, so re-screens start inside a chain
+    rng = random.Random(18)
+    epsilons = [Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    deep_chains = 0
+    for trial in range(8):
+        n = rng.randint(25, 40)
+        links = []
+        for i in range(30):
+            u, v = rng.sample(range(n), 2)
+            w = 0 if rng.random() < 0.1 else round(10 ** rng.uniform(0, 18))
+            links.append(WeightedEdge(u, v, w, i))
+        ref = _run_side_by_side(n, epsilons[trial % 4], links)
+        for parity in (0, 1):
+            deep_chains += len([k for k in ref.forest if k >= 0 and k % 2 == parity]) >= 3
+    assert deep_chains >= 8
 
 
 def test_store_matches_three_edge_components_past_sixty_four_vertices():
