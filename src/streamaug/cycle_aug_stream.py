@@ -19,7 +19,11 @@ and two vertices are 3-edge-connected exactly when no such interval holds
 one and not the other.  The store therefore keeps intervals as bits of a
 Python int: ``contain[x]`` has the bit of every interval holding x, a link
 (u, v) crosses the intervals ``contain[u] ^ contain[v]``, and the uncovered
-set starts as every interval and loses the bits of each held link.
+set starts as every interval and loses the bits of each held link.  A
+component is named by its signature ``contain[v] & uncovered``, which keys
+the best-arc tables.  Uncovered sets only shrink as links arrive: a re-screen
+drops a link only when earlier kept links cover every interval it crosses.
+So an old signature masked with the new uncovered set is the new signature.
 """
 
 from __future__ import annotations
@@ -123,13 +127,15 @@ class WeightedAugState:
     link set screened against 3-edge-connected components (a link whose
     endpoints the kept cheaper material already 3-connects is redundant).
     Screening works on interval bitsets: a link is redundant exactly when it
-    crosses no interval left uncovered by the cycle's held links, keeping it
-    clears its crossing bits, and the components are the vertices grouped
-    by ``contain[v] & uncovered``, so the store has no vertex guard.  All
-    surviving arcs additionally feed a per-(component, fine band, side)
-    best-arc table two coarse classes down, which is what finalize solves
-    over.  When eps < 1/n the banding collapses and the store simply keeps
-    the cheapest link per endpoint pair.
+    crosses no uncovered interval, and keeping it clears its crossing bits.
+    ``_unc[k]`` is the uncovered set reached after screening class k: the
+    intervals that no kept link of the zero class, or of k's parity chain up
+    to k, crosses.  A component is named by its signature ``contain[v] &
+    unc``, so the store has no vertex guard and keeps no partition.  All
+    surviving arcs also feed a best-arc table two coarse classes down, keyed
+    by (head's signature, fine band, side), which finalize solves over.
+    When eps < 1/n the banding collapses and the store simply keeps the
+    cheapest link per endpoint pair.
     """
 
     def __init__(self, n: int, epsilon):
@@ -140,24 +146,19 @@ class WeightedAugState:
             raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
         self.n = n
         self.epsilon = epsilon
-        self._trivial = eps < Fraction(1, n)
+        self.is_trivial = eps < Fraction(1, n)
         self._peak = 0
-        if self._trivial:
-            self._best: dict[tuple[int, int], WeightedEdge] = {}
-            return
-        self._contain = _interval_masks(n)
-        self._all_intervals = (1 << (n * (n - 1) // 2)) - 1
-        self._fine = GeometricBands(1 + eps)
-        self._coarse = GeometricBands(Fraction(n) / eps)
+        self._best: dict[tuple[int, int], WeightedEdge] = {}
         self._forest: dict[int, list[WeightedEdge]] = {}
         self._arcs: dict[int, dict[tuple[int, int, str], Arc]] = {}
-        self._parts: dict[int, Partition] = {}
+        self._unc: dict[int, int] = {}
         self._forest_count = 0
         self._arc_count = 0
-
-    @property
-    def is_trivial(self) -> bool:
-        return self._trivial
+        if not self.is_trivial:
+            self._contain = _interval_masks(n)
+            self._all_intervals = (1 << (n * (n - 1) // 2)) - 1
+            self._fine = GeometricBands(1 + eps)
+            self._coarse = GeometricBands(Fraction(n) / eps)
 
     @property
     def peak_stored(self) -> int:
@@ -165,25 +166,19 @@ class WeightedAugState:
 
     @property
     def stored_count(self) -> int:
-        if self._trivial:
-            return len(self._best)
-        return self._forest_count + self._arc_count
+        return len(self._best) + self._forest_count + self._arc_count
 
     def forest_classes(self) -> list[int]:
-        if self._trivial:
-            return []
         return sorted(k for k, kept in self._forest.items() if kept)
 
     def forest_edges(self, k: int) -> list[WeightedEdge]:
-        if self._trivial:
-            return []
         return list(self._forest.get(k, ()))
 
     def forest_count(self) -> int:
-        return 0 if self._trivial else self._forest_count
+        return self._forest_count
 
     def arc_count(self) -> int:
-        return 0 if self._trivial else self._arc_count
+        return self._arc_count
 
     def coarse_class_of(self, w: int) -> int:
         return -1 if w == 0 else self._coarse.index(w)
@@ -193,21 +188,15 @@ class WeightedAugState:
 
         The zero class joins both parity chains, so it always participates.
         """
-        if k not in self._parts:
-            unc = self._uncovered([-1, *range(k, -1, -2)])
-            self._parts[k] = Partition([c & unc for c in self._contain])
-        return self._parts[k]
+        unc = self._unc_at(k)
+        return Partition([c & unc for c in self._contain])
 
-    def _crossing(self, e: WeightedEdge) -> int:
-        return self._contain[e.u] ^ self._contain[e.v]
-
-    def _uncovered(self, ks) -> int:
-        """Intervals that no kept link of the classes ks crosses."""
-        unc = self._all_intervals
-        for k in ks:
-            for e in self._forest.get(k, ()):
-                unc &= ~self._crossing(e)
-        return unc
+    def _unc_at(self, k: int) -> int:
+        """Uncovered set of the largest screened class <= k of k's parity."""
+        below = [j for j in self._unc if 0 <= j <= k and (k - j) % 2 == 0]
+        if below:
+            return self._unc[max(below)]
+        return self._unc.get(-1, self._all_intervals)
 
     # -- insertion -------------------------------------------------------
 
@@ -218,7 +207,7 @@ class WeightedAugState:
             raise ValueError(f"self-loop link: {link}")
         if link.w < 0:
             raise ValueError(f"negative weight: {link}")
-        if self._trivial:
+        if self.is_trivial:
             pair = link.pair
             cur = self._best.get(pair)
             if cur is None or (link.w, link.arrival) < (cur.w, cur.arrival):
@@ -229,62 +218,44 @@ class WeightedAugState:
         self._forest.setdefault(kp, []).append(link)
         self._forest_count += 1
         self._peak = max(self._peak, self.stored_count)
-        self._cleanup_from(kp)
-        self._refresh(kp)
+        # a zero link re-screens the zero class, then both chains above it
+        if kp == -1:
+            self._clean_classes([-1], self._all_intervals)
+        for low in (0, 1) if kp == -1 else (kp,):
+            ks = sorted(k for k in self._forest if k >= low and (k - low) % 2 == 0)
+            self._clean_classes(ks, self._unc_at(low - 2))
+        for k in self._arcs:
+            if kp == -1 or (k >= kp and (k - kp) % 2 == 0):
+                self._regroup(k)
         if link.w >= 1:
             self._offer_arcs(link, kp - 2)
         self._peak = max(self._peak, self.stored_count)
 
-    def _cleanup_from(self, kp: int) -> None:
-        if kp == -1:
-            self._clean_classes([-1], self._all_intervals)
-            zero = self._uncovered([-1])
-            for parity in (0, 1):
-                ks = sorted(k for k in self._forest if k >= 0 and k % 2 == parity)
-                self._clean_classes(ks, zero)
-        else:
-            parity = kp % 2
-            below = [k for k in self._forest if 0 <= k < kp and k % 2 == parity]
-            ks = sorted(k for k in self._forest if k >= kp and k % 2 == parity)
-            self._clean_classes(ks, self._uncovered([-1, *below]))
-
     def _clean_classes(self, ks: list[int], unc: int) -> None:
-        """Re-screen classes ks in order against the uncovered intervals unc.
+        """Re-screen classes ks in order from the uncovered set unc, recording ``_unc[k]``.
 
         A link whose ends no uncovered interval separates is redundant; a
         kept one covers the intervals it crosses for every later link.
         """
+        contain = self._contain
         for k in ks:
             kept = []
-            for e in self._forest.get(k, ()):
-                cross = self._crossing(e)
-                if not unc & cross:
-                    self._forest_count -= 1
-                    continue
-                kept.append(e)
-                unc &= ~cross
+            for e in self._forest[k]:
+                cross = contain[e.u] ^ contain[e.v]
+                if unc & cross:
+                    kept.append(e)
+                    unc &= ~cross
+            self._forest_count -= len(self._forest[k]) - len(kept)
             self._forest[k] = kept
-
-    def _refresh(self, kp: int) -> None:
-        if kp == -1:
-            dirty = set(self._parts) | set(self._arcs)
-        else:
-            dirty = {
-                k
-                for k in set(self._parts) | set(self._arcs)
-                if k >= kp and (k - kp) % 2 == 0
-            }
-        for k in dirty:
-            self._parts.pop(k, None)
-        for k in sorted(dirty):
-            if k in self._arcs:
-                self._regroup(k)
+            self._unc[k] = unc
 
     def _regroup(self, k: int) -> None:
-        part = self.partition(k)
+        # uncovered sets only shrink, so sig & unc is the head's new
+        # signature, and heads of merged components collide on one key
+        unc = self._unc_at(k)
         merged: dict[tuple[int, int, str], Arc] = {}
-        for (root, fi, side), arc in self._arcs[k].items():
-            key = (part.rep_of(root), fi, side)
+        for (sig, fi, side), arc in self._arcs[k].items():
+            key = (sig & unc, fi, side)
             cur = merged.get(key)
             if cur is None:
                 merged[key] = arc
@@ -300,13 +271,14 @@ class WeightedAugState:
         return a if ka <= kb else b
 
     def _offer_arcs(self, link: WeightedEdge, k: int) -> None:
-        part = self.partition(k)
+        unc = self._unc_at(k)
         fi = self._fine.index(link.w)
         store = self._arcs.setdefault(k, {})
         for x, y in ((link.u, link.v), (link.v, link.u)):
-            if part.same(x, y):
+            sig = self._contain[y] & unc
+            if self._contain[x] & unc == sig:
                 continue
-            key = (part.rep_of(y), fi, "lo" if x < y else "hi")
+            key = (sig, fi, "lo" if x < y else "hi")
             arc = Arc(x, y, link.w, link)
             cur = store.get(key)
             if cur is None:
@@ -318,20 +290,23 @@ class WeightedAugState:
     # -- finalize --------------------------------------------------------
 
     def all_arcs(self) -> list[Arc]:
-        """Deterministic arc pool finalize solves over."""
-        arcs: list[Arc] = []
-        if self._trivial:
-            for link in sorted(self._best.values(), key=lambda e: e.arrival):
-                arcs.append(Arc(link.u, link.v, link.w, link))
-                arcs.append(Arc(link.v, link.u, link.w, link))
-            return arcs
+        """Deterministic arc pool finalize solves over.
+
+        Kept links come first, both ways; each arc table follows in order of
+        (smallest vertex of the head's component, fine band, side).
+        """
+        links = sorted(self._best.values(), key=lambda e: e.arrival)
         for k in sorted(self._forest):
-            for e in self._forest[k]:
-                arcs.append(Arc(e.u, e.v, e.w, e))
-                arcs.append(Arc(e.v, e.u, e.w, e))
+            links.extend(self._forest[k])
+        arcs = [a for e in links for a in (Arc(e.u, e.v, e.w, e), Arc(e.v, e.u, e.w, e))]
         for k in sorted(self._arcs):
-            for key in sorted(self._arcs[k]):
-                arcs.append(self._arcs[k][key])
+            unc = self._unc_at(k)
+            first: dict[int, int] = {}
+            for v, c in enumerate(self._contain):
+                first.setdefault(c & unc, v)
+            table = self._arcs[k]
+            order = sorted(table, key=lambda key: (first[key[0]], key[1], key[2]))
+            arcs.extend(table[key] for key in order)
         return arcs
 
     def finalize(self) -> tuple[list[WeightedEdge], int]:
