@@ -156,6 +156,8 @@ def exact_directed_cycle_cover(n: int, arcs: list[Arc]) -> tuple[list[Arc], int]
     for i, a in enumerate(arcs):
         if a.x == a.y:
             raise ValueError(f"arc with equal endpoints: {a}")
+        if not (0 <= a.x < n and 0 <= a.y < n):
+            raise ValueError(f"arc endpoint out of range: {a}")
         by_head.setdefault(a.y, []).append((a.w, i, a.x))
     for lst in by_head.values():
         lst.sort()

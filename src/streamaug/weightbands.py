@@ -51,6 +51,8 @@ class GeometricBands:
 
     def lower(self, j: int) -> Fraction:
         """Inclusive lower boundary base^j of band j."""
+        if j < 0:
+            raise ValueError(f"band index must be >= 0, got {j}")
         while len(self._bounds) <= j:
             self._bounds.append(self._bounds[-1] * self.base)
             self._floors.append(math.ceil(self._bounds[-1]))

@@ -165,6 +165,16 @@ def test_directed_cover_rejects_degenerate_arcs():
         exact_directed_cycle_cover(1, [])
 
 
+def test_directed_cover_refuses_endpoints_outside_the_cycle():
+    # three arcs from a vertex the 4-cycle lacks would "cover" every interval
+    with pytest.raises(ValueError):
+        exact_directed_cycle_cover(4, [Arc(9, 1, 1), Arc(9, 2, 1), Arc(9, 3, 1)])
+    with pytest.raises(ValueError):
+        exact_directed_cycle_cover(4, [Arc(-1, 1, 1), Arc(-1, 2, 1), Arc(-1, 3, 1)])
+    with pytest.raises(ValueError):
+        exact_directed_cycle_cover(4, [Arc(0, 4, 1), Arc(0, 1, 1), Arc(0, 2, 1), Arc(0, 3, 1)])
+
+
 def test_bidirected_sandwich_bound():
     # directed optimum with both orientations lies between the undirected
     # optimum and twice the undirected optimum

@@ -67,6 +67,17 @@ def test_index_rejects_nonpositive():
         bands.index(0)
 
 
+def test_lower_rejects_negative_band_indices():
+    # once bands are grown, a negative j would read the list from its end
+    bands = GeometricBands(2)
+    bands.index(100)
+    with pytest.raises(ValueError):
+        bands.lower(-1)
+    with pytest.raises(ValueError):
+        bands.contains(-1, 64)
+    assert bands.lower(0) == 1 and bands.contains(0, 1)
+
+
 def test_ceil_power_index():
     # smallest b with 1.5**b >= 64 is 11 (1.5**10 ~ 57.7, 1.5**11 ~ 86.5)
     assert ceil_power_index(Fraction(3, 2), 64) == 11
