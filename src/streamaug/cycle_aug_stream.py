@@ -21,9 +21,11 @@ Python int: ``contain[x]`` has the bit of every interval holding x, a link
 (u, v) crosses the intervals ``contain[u] ^ contain[v]``, and the uncovered
 set starts as every interval and loses the bits of each held link.  A
 component is named by its signature ``contain[v] & uncovered``, which keys
-the best-arc tables.  Uncovered sets only shrink as links arrive: a re-screen
-drops a link only when earlier kept links cover every interval it crosses.
-So an old signature masked with the new uncovered set is the new signature.
+the best-arc tables.  Between inserts every class is a fixed point of its
+screen, so an arriving link is tested once: a redundant one changes no class,
+and a kept one only shrinks the uncovered sets above it, as a re-screen drops
+a link only when earlier kept links cover every interval it crosses.  So an
+old signature masked with the new uncovered set is the new signature.
 """
 
 from __future__ import annotations
@@ -124,18 +126,19 @@ class WeightedAugState:
     links into classes whose weights differ so much that cheaper classes
     are almost free, and fine bands with base 1+eps distinguish weights
     within a coarse class.  Weight-zero links and each coarse class keep a
-    link set screened against 3-edge-connected components (a link whose
-    endpoints the kept cheaper material already 3-connects is redundant).
-    Screening works on interval bitsets: a link is redundant exactly when it
-    crosses no uncovered interval, and keeping it clears its crossing bits.
+    link set screened against 3-edge-connected components: a link is
+    redundant exactly when it crosses no interval that the kept cheaper
+    material leaves uncovered, and keeping it clears its crossing bits.
     ``_unc[k]`` is the uncovered set reached after screening class k: the
     intervals that no kept link of the zero class, or of k's parity chain up
-    to k, crosses.  A component is named by its signature ``contain[v] &
-    unc``, so the store has no vertex guard and keeps no partition.  All
-    surviving arcs also feed a best-arc table two coarse classes down, keyed
-    by (head's signature, fine band, side), which finalize solves over.
-    When eps < 1/n the banding collapses and the store simply keeps the
-    cheapest link per endpoint pair.
+    to k, crosses.  Between inserts every class is a fixed point of its
+    screen: re-screened from ``_unc_at(k - 2)`` it keeps every link and
+    reaches ``_unc[k]``.  A component is named by its signature ``contain[v]
+    & unc``, so the store has no vertex guard and keeps no partition.  The
+    arcs of every positive link also feed a best-arc table two coarse
+    classes down, keyed by (head's signature, fine band, side), which
+    finalize solves over.  When eps < 1/n the banding collapses and the
+    store simply keeps the cheapest link per endpoint pair.
     """
 
     def __init__(self, n: int, epsilon):
@@ -194,9 +197,7 @@ class WeightedAugState:
     def _unc_at(self, k: int) -> int:
         """Uncovered set of the largest screened class <= k of k's parity."""
         below = [j for j in self._unc if 0 <= j <= k and (k - j) % 2 == 0]
-        if below:
-            return self._unc[max(below)]
-        return self._unc.get(-1, self._all_intervals)
+        return self._unc[max(below)] if below else self._unc.get(-1, self._all_intervals)
 
     # -- insertion -------------------------------------------------------
 
@@ -215,39 +216,36 @@ class WeightedAugState:
             self._peak = max(self._peak, len(self._best))
             return
         kp = self.coarse_class_of(link.w)
-        self._forest.setdefault(kp, []).append(link)
-        self._forest_count += 1
-        self._peak = max(self._peak, self.stored_count)
-        # a zero link re-screens the zero class, then both chains above it
-        if kp == -1:
-            self._clean_classes([-1], self._all_intervals)
-        for low in (0, 1) if kp == -1 else (kp,):
-            ks = sorted(k for k in self._forest if k >= low and (k - low) % 2 == 0)
-            self._clean_classes(ks, self._unc_at(low - 2))
-        for k in self._arcs:
-            if kp == -1 or (k >= kp and (k - kp) % 2 == 0):
-                self._regroup(k)
+        self._peak = max(self._peak, self.stored_count + 1)
+        unc = self._unc_at(kp)
+        cross = self._contain[link.u] ^ self._contain[link.v]
+        if unc & cross:
+            self._forest.setdefault(kp, []).append(link)
+            self._forest_count += 1
+            self._unc[kp] = unc & ~cross
+            for k in sorted(self._forest):
+                if k > kp and (kp == -1 or (k - kp) % 2 == 0):
+                    self._screen(k)
+            for k in self._arcs:
+                if kp == -1 or (k >= kp and (k - kp) % 2 == 0):
+                    self._regroup(k)
         if link.w >= 1:
             self._offer_arcs(link, kp - 2)
         self._peak = max(self._peak, self.stored_count)
 
-    def _clean_classes(self, ks: list[int], unc: int) -> None:
-        """Re-screen classes ks in order from the uncovered set unc, recording ``_unc[k]``.
-
-        A link whose ends no uncovered interval separates is redundant; a
-        kept one covers the intervals it crosses for every later link.
-        """
+    def _screen(self, k: int) -> None:
+        """Re-screen class k from the uncovered set below it, recording ``_unc[k]``."""
         contain = self._contain
-        for k in ks:
-            kept = []
-            for e in self._forest[k]:
-                cross = contain[e.u] ^ contain[e.v]
-                if unc & cross:
-                    kept.append(e)
-                    unc &= ~cross
-            self._forest_count -= len(self._forest[k]) - len(kept)
-            self._forest[k] = kept
-            self._unc[k] = unc
+        unc = self._unc_at(k - 2)
+        kept = []
+        for e in self._forest[k]:
+            cross = contain[e.u] ^ contain[e.v]
+            if unc & cross:
+                kept.append(e)
+                unc &= ~cross
+        self._forest_count -= len(self._forest[k]) - len(kept)
+        self._forest[k] = kept
+        self._unc[k] = unc
 
     def _regroup(self, k: int) -> None:
         # uncovered sets only shrink, so sig & unc is the head's new
@@ -292,21 +290,22 @@ class WeightedAugState:
     def all_arcs(self) -> list[Arc]:
         """Deterministic arc pool finalize solves over.
 
-        Kept links come first, both ways; each arc table follows in order of
-        (smallest vertex of the head's component, fine band, side).
+        Kept links come first, both ways; each arc table follows in key order,
+        which is (smallest vertex of the head's component, fine band, side)
+        order.  For let a < b be the smallest vertices of two components: b-1
+        is not in b's component, so the cycle edge (b-1, b) pairs into
+        uncovered 2-cuts.  Were all its partners before it, the vertex that
+        starts the first partner would be 3-edge-connected to b, as 2-cuts
+        that cross have 2-cut corners.  So some uncovered [b, r] holds b and
+        not a, and as intervals are numbered by l it outranks every interval
+        holding a and not b, which starts at or before a.
         """
         links = sorted(self._best.values(), key=lambda e: e.arrival)
         for k in sorted(self._forest):
             links.extend(self._forest[k])
         arcs = [a for e in links for a in (Arc(e.u, e.v, e.w, e), Arc(e.v, e.u, e.w, e))]
         for k in sorted(self._arcs):
-            unc = self._unc_at(k)
-            first: dict[int, int] = {}
-            for v, c in enumerate(self._contain):
-                first.setdefault(c & unc, v)
-            table = self._arcs[k]
-            order = sorted(table, key=lambda key: (first[key[0]], key[1], key[2]))
-            arcs.extend(table[key] for key in order)
+            arcs.extend(self._arcs[k][key] for key in sorted(self._arcs[k]))
         return arcs
 
     def finalize(self) -> tuple[list[WeightedEdge], int]:

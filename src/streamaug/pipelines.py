@@ -39,8 +39,7 @@ from .oracles import (
     exact_sndp,
 )
 from .sndp_coreset import Requirements
-from .spanner_stream import SpannerState
-from .weightbands import as_fraction
+from .spanner_stream import SpannerState, layer_epsilon
 
 _EVENT_KINDS = ("E", "L")
 
@@ -251,15 +250,14 @@ def kcap_fully_streaming(
     Base edges feed a k-forest certificate, links feed a spanner whose
     stretch parameter is tightened to eps/(2t-1); the finalizer solves the
     augmentation exactly on certificate + stored links.  A base that is not
-    (k-1)-edge-connected raises ValueError.
+    (k-1)-edge-connected raises ValueError.  The oracle reads the certificate
+    too: crossing each side S min(|delta(S)|, k) times, it has the base's optimum.
     """
     cert = ForestStack(n, k)
-    spanner = SpannerState(n, t, as_fraction(epsilon) / (2 * t - 1))
-    base_all: list[WeightedEdge] = []
+    spanner = SpannerState(n, t, layer_epsilon(epsilon, t))
     links_all: list[WeightedEdge] = []
     for ev in events:
         if ev.kind == "E":
-            base_all.append(ev.edge)
             cert.insert(ev.edge)
         else:
             links_all.append(ev.edge)
@@ -274,7 +272,7 @@ def kcap_fully_streaming(
     except Infeasible as exc:
         details["reason"] = str(exc)
         return PipelineReport([], 0, peaks, False, details=details)
-    oracle_weight = _kcap_optimum(n, k, base_all, links_all) if with_oracle else None
+    oracle_weight = _kcap_optimum(n, k, cert.edges(), links_all) if with_oracle else None
     return PipelineReport(
         output=chosen,
         total_weight=weight,
@@ -309,7 +307,7 @@ def stap_fully_streaming(
     base_uf = UnionFind(n)
     base_edges: list[WeightedEdge] = []
     links_all: list[WeightedEdge] = []
-    spanner = SpannerState(n, t, as_fraction(epsilon) / (2 * t - 1))
+    spanner = SpannerState(n, t, layer_epsilon(epsilon, t))
     for ev in events:
         if ev.kind == "E":
             if not base_uf.union(ev.edge.u, ev.edge.v):

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from .errors import Infeasible, SizeGuardError, StreamFormatError
 from .graph_core import WeightedEdge, add_crossing, check_endpoints, side_bits
 from .oracles import SNDP_MAX_N, _cover_branch_and_bound, _demand_levels, _requirement_pairs
-from .spanner_stream import SpannerState
-from .weightbands import as_fraction
+from .spanner_stream import SpannerState, layer_epsilon
 
 
 class Requirements:
@@ -94,21 +93,17 @@ class Requirements:
 class Cascade:
     """k chained spanner stores; evictions from one feed the next.
 
-    The stretch parameter of each layer is tightened to eps/(2t-1) so that
-    a layer's path guarantee is a clean (2t-1) + eps factor in weight.
+    Each layer's stretch parameter is tightened by ``layer_epsilon``.
     """
 
     def __init__(self, n: int, k: int, t: int, epsilon):
         if k < 1:
             raise ValueError(f"need k >= 1, got {k}")
-        eps = as_fraction(epsilon)
-        if not 0 < eps <= 1:
-            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+        inner = layer_epsilon(epsilon, t)
         self.n = n
         self.k = k
         self.t = t
         self.epsilon = epsilon
-        inner = eps / (2 * t - 1)
         self._layers = [SpannerState(n, t, inner) for _ in range(k)]
 
     def insert(self, e: WeightedEdge) -> None:

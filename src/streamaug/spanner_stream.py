@@ -108,6 +108,14 @@ def _hop_dists(adj: _Adj, s: int, depth: int, below, goal=None) -> dict[int, int
     return dist
 
 
+def layer_epsilon(epsilon, t: int) -> Fraction:
+    """eps/(2t-1), the spanner slack that keeps a (2t-1) + eps weight factor; eps lies in (0, 1]."""
+    eps = as_fraction(epsilon)
+    if not 0 < eps <= 1:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    return eps / (2 * t - 1)
+
+
 class SpannerState:
     """Streaming store whose kept edges approximate all pairwise distances.
 

@@ -385,6 +385,20 @@ def test_cli_usage_and_parse_failures_exit_four(tmp_path, capsys):
         assert code == 4, argv
 
 
+def test_cli_epsilon_above_one_exits_four_at_every_stretch(capsys):
+    # at t >= 2 the spanner's tightened eps/(2t-1) is in (0, 1] even for
+    # eps = 2, so the commands must check eps itself
+    for argv in (
+        ["kcap-full", str(FIXTURES / "ring4_chords.txt"), "--k", "3"],
+        ["stap", str(FIXTURES / "path4_tap.txt"), "--terminals", "0,3"],
+    ):
+        for t in ("1", "2", "3"):
+            code, out, err = _run(argv + ["--t", t, "--epsilon", "2"], capsys)
+            assert code == 4, (argv, t)
+            assert out == ""
+            assert "epsilon must lie in (0, 1]" in err
+
+
 def test_cli_invalid_instance_exits_four(capsys):
     # the ring is already two-connected, augmenting it "to" 2 is refused
     code, _out, err = _run(

@@ -523,6 +523,41 @@ def test_wide_weights_match_the_three_ecc_store_with_several_classes_per_chain()
     assert deep_chains >= 8
 
 
+def test_links_redundant_on_arrival_leave_classes_and_tables_alone(monkeypatch):
+    # every class is a fixed point of its screen between inserts, so a link
+    # whose ends its class already 3-edge-connects re-screens no class and
+    # re-keys no table; its arcs are still filed two classes down
+    rng = random.Random(19)
+    n, eps = 14, Fraction(1, 2)
+    warm = _differential_stream(rng, n, 80)
+    plain, patched = WeightedAugState(n, eps), WeightedAugState(n, eps)
+    for link in warm:
+        plain.insert(link)
+        patched.insert(link)
+    redundant = []
+    while len(redundant) < 60:
+        u, v = rng.sample(range(n), 2)
+        w = rng.choice([0, 0, 1, 3, 40, 10**6, 10**12])
+        if plain.partition(plain.coarse_class_of(w)).same(u, v):
+            redundant.append(WeightedEdge(u, v, w, len(warm) + len(redundant)))
+    assert sum(e.w == 0 for e in redundant) >= 10
+
+    def refuse(*args):
+        raise AssertionError("a redundant link re-screened or re-keyed the store")
+
+    monkeypatch.setattr(patched, "_regroup", refuse)
+    monkeypatch.setattr(patched, "_screen", refuse)
+    for link in redundant:
+        plain.insert(link)
+        patched.insert(link)
+        assert patched.stored_count == plain.stored_count
+        assert patched.peak_stored == plain.peak_stored
+    assert patched.all_arcs() == plain.all_arcs()
+    assert patched.forest_count() == plain.forest_count() == sum(
+        len(plain.forest_edges(k)) for k in plain.forest_classes()
+    )
+
+
 def test_store_matches_three_edge_components_past_sixty_four_vertices():
     # two vertices share a class exactly when 3 edge-disjoint paths join
     # them in the cycle plus every ingested link of the chain

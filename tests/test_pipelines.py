@@ -9,6 +9,7 @@ import pytest
 
 from streamaug.cactus import cactus_build
 from streamaug.graph_core import WeightedEdge
+from streamaug.oracles import AugmentationInstance, exact_kcap
 from streamaug.pipelines import (
     PipelineReport,
     ReplayableStream,
@@ -267,11 +268,14 @@ def test_fully_streaming_feasible_output_reaches_target():
         )
         if not report.feasible:
             continue
+        # the oracle solves over the k-forest certificate; its optimum is
+        # the one over the full base
+        full = AugmentationInstance(n=n, k=k, base=base, links=links)
+        assert report.oracle_weight == exact_kcap(full)[1]
         combined = [(e.u, e.v) for e in base] + [(e.u, e.v) for e in report.output]
         assert support.nx_edge_connectivity(combined, n) >= k
-        if report.oracle_weight is not None:
-            assert report.total_weight <= bound * report.oracle_weight
-            checked += 1
+        assert report.total_weight <= bound * report.oracle_weight
+        checked += 1
     assert checked >= 10
 
 
