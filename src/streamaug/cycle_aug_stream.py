@@ -35,7 +35,7 @@ from fractions import Fraction
 from .graph_core import Arc, Partition, WeightedEdge
 from .graph_core import three_edge_components  # noqa: F401  (benchmark/spans.py wraps it here)
 from .oracles import exact_directed_cycle_cover
-from .weightbands import GeometricBands, as_fraction
+from .weightbands import GeometricBands, check_epsilon
 
 
 def _interval_masks(n: int) -> list[int]:
@@ -144,9 +144,7 @@ class WeightedAugState:
     def __init__(self, n: int, epsilon):
         if n < 2:
             raise ValueError(f"weighted cycle store needs n >= 2, got {n}")
-        eps = as_fraction(epsilon)
-        if not 0 < eps <= 1:
-            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+        eps = check_epsilon(epsilon)
         self.n = n
         self.epsilon = epsilon
         self.is_trivial = eps < Fraction(1, n)

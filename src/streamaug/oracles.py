@@ -162,11 +162,17 @@ def exact_directed_cycle_cover(n: int, arcs: list[Arc]) -> tuple[list[Arc], int]
     for lst in by_head.values():
         lst.sort()
 
-    memo: dict[tuple[int, int], tuple | None] = {}
+    memo: dict[tuple[int, int], tuple] = {}
 
     def sub(l: int, r: int):
         return _EMPTY_COVER if l > r else memo[(l, r)]
 
+    # Infeasible at the first interval left without a cover.  An interval
+    # that no arc enters has no cover, so no arc set covers every interval.
+    # If every interval has an entering arc, induction on length sets every
+    # entry: for an arc into q from outside [l, r], the shorter [l, q-1] and
+    # [q+1, r] are set, so [l, r] is too.  Raising at the first unset entry
+    # is therefore raising exactly when the whole cycle has no cover.
     m = n - 1
     for length in range(1, m + 1):
         for l in range(1, m - length + 2):
@@ -175,8 +181,6 @@ def exact_directed_cycle_cover(n: int, arcs: list[Arc]) -> tuple[list[Arc], int]
             for q in range(l, r + 1):
                 left = sub(l, q - 1)
                 right = sub(q + 1, r)
-                if left is None or right is None:
-                    continue
                 for w, i, x in by_head.get(q, ()):
                     if x < l or x > r:
                         cand = (
@@ -187,10 +191,10 @@ def exact_directed_cycle_cover(n: int, arcs: list[Arc]) -> tuple[list[Arc], int]
                         if best is None or cand < best:
                             best = cand
                         break
+            if best is None:
+                raise Infeasible("some interval cut of the cycle has no covering arc")
             memo[(l, r)] = best
     top = memo[(1, m)]
-    if top is None:
-        raise Infeasible("some interval cut of the cycle has no covering arc")
     return [arcs[i] for i in top[2]], top[0]
 
 

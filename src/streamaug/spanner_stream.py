@@ -15,15 +15,17 @@ pass deletes nothing.  An accepted edge e therefore re-checks only what it
 can change in its own bucket: e itself, the one stored edge on e's
 supernode pair, and the later edges of e's band that lie within 2t-2 hops
 of e's ends.  The contractions are kept per bucket and only grow, since a
-deleted edge is always parallel to kept material.  Higher buckets whose
-contraction e changes, and the whole store after a zero-weight edge, still
-get the full pass.
+deleted edge is always parallel to kept material.  Each parity's buckets
+form a chain of contractions with the zero forest at its foot, and e walks
+its chain upward from the level it joins: the next bucket up gets the full
+pass while e's ends were newly joined below it, and the walk stops at the
+first level that had them joined already, since no level above it changes.
 
 Four indexes keep that re-check local, each updated when an edge is
 stored and when one is dropped:
 
-- per band, the stored edges in survivor order (``_cert_key``), with a
-  parallel key list kept by bisection;
+- per band, the ``(key, edge)`` entries of the stored edges in survivor
+  order (``_cert_key``), kept by bisection;
 - per band, the raw vertex adjacency, for the distance test of insert();
 - per band, the supernode adjacency under its bucket's parity-prefix
   contraction, each entry the other supernode with the edge and its key;
@@ -33,26 +35,27 @@ Supernodes are roots of the bucket's prefix UnionFind, so the last two
 indexes stay valid while those roots stay the same.  Path compression
 never changes a root; only a union does.  Every union that changes a
 bucket's prefix is followed by the full pass over that bucket, which
-rebuilds both indexes from what it keeps (a zero-weight edge re-runs the
-pass over every bucket), and a new bucket's contraction starts as a copy,
-with the same roots, of the one below it.  Hop tests are breadth-first
-searches over the supernode adjacency that use only edges sorting before
-the edge under test, so no insert sorts or scans its band or bucket.
+rebuilds both indexes from what it keeps, and a new bucket's contraction
+starts as a copy, with the same roots, of the one below it.  Hop tests
+are breadth-first searches over the supernode adjacency that use only
+edges sorting before the edge under test, so no insert sorts or scans its
+band or bucket.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from fractions import Fraction
 
 from .graph_core import Partition, UnionFind, WeightedEdge
-from .weightbands import GeometricBands, as_fraction, ceil_power_index
+from .weightbands import GeometricBands, ceil_power_index, check_epsilon
 
 # An adjacency maps node -> {other node: (key, edge)}; stored pairs are
 # distinct within a band, so each pair holds at most one entry.  The
 # distance test refuses an edge whose ends a stored band edge already
-# joins, so keys are distinct within a band too.
+# joins, so keys are distinct within a band too, and sorting entries
+# never compares their edges.
 _Key = tuple[int, int, int, int]
 _Entry = tuple[_Key, WeightedEdge]
 _Adj = dict[int, dict[int, _Entry]]
@@ -110,10 +113,7 @@ def _hop_dists(adj: _Adj, s: int, depth: int, below, goal=None) -> dict[int, int
 
 def layer_epsilon(epsilon, t: int) -> Fraction:
     """eps/(2t-1), the spanner slack that keeps a (2t-1) + eps weight factor; eps lies in (0, 1]."""
-    eps = as_fraction(epsilon)
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    return eps / (2 * t - 1)
+    return check_epsilon(epsilon) / (2 * t - 1)
 
 
 class SpannerState:
@@ -130,9 +130,7 @@ class SpannerState:
             raise ValueError(f"need n >= 1, got {n}")
         if not isinstance(t, int) or t < 1:
             raise ValueError(f"stretch parameter must be an integer >= 1, got {t!r}")
-        eps = as_fraction(epsilon)
-        if not 0 < eps <= 1:
-            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+        eps = check_epsilon(epsilon)
         self.n = n
         self.t = t
         self.epsilon = epsilon
@@ -142,8 +140,7 @@ class SpannerState:
         self._zero_uf = UnionFind(n)
         self._zero: list[WeightedEdge] = []
         # The four indexes of the module docstring.
-        self._bands_kept: dict[int, list[WeightedEdge]] = {}
-        self._band_keys: dict[int, list[_Key]] = {}
+        self._bands_kept: dict[int, list[_Entry]] = {}
         self._raw_adj: dict[int, _Adj] = {}
         self._sup_adj: dict[int, _Adj] = {}
         self._pairs: dict[int, dict[tuple[int, int], WeightedEdge]] = {}
@@ -167,7 +164,7 @@ class SpannerState:
         return sorted(j for j, kept in self._bands_kept.items() if kept)
 
     def band_edges(self, j: int) -> list[WeightedEdge]:
-        return list(self._bands_kept.get(j, ()))
+        return [e for _, e in self._bands_kept.get(j, ())]
 
     def zero_edges(self) -> list[WeightedEdge]:
         return list(self._zero)
@@ -175,7 +172,7 @@ class SpannerState:
     def edges(self) -> list[WeightedEdge]:
         out = list(self._zero)
         for kept in self._bands_kept.values():
-            out.extend(kept)
+            out.extend(e for _, e in kept)
         out.sort(key=lambda e: e.arrival)
         return out
 
@@ -190,18 +187,12 @@ class SpannerState:
     def peak_stored(self) -> int:
         return self._peak
 
-    def _nonempty_buckets(self, parity: int) -> list[int]:
-        ks = {j // self.bucket_width for j, kept in self._bands_kept.items() if kept}
-        return sorted(k for k in ks if k % 2 == parity)
-
-    def _bucket_edges(self, k: int) -> list[tuple[int, _Key, WeightedEdge]]:
-        """(band, key, edge) of every stored edge of bucket k, in key order."""
+    def _bucket_edges(self, k: int) -> list[tuple[int, _Entry]]:
+        """(band, entry) of every stored edge of bucket k, in key order."""
         lo = k * self.bucket_width
         out = []
         for j in range(lo, lo + self.bucket_width):
-            kept = self._bands_kept.get(j)
-            if kept:
-                out.extend((j, key, e) for key, e in zip(self._band_keys[j], kept))
+            out.extend((j, entry) for entry in self._bands_kept.get(j, ()))
         return out
 
     def _prefix_uf(self, parity: int, k: int) -> UnionFind:
@@ -223,26 +214,19 @@ class SpannerState:
         if e.u == e.v:
             return False, [e]
         if e.w == 0:
-            if self._zero_uf.same(e.u, e.v):
+            if not self._zero_uf.union(e.u, e.v):
                 return False, [e]
-            self._zero_uf.union(e.u, e.v)
-            for uf in self._closure.values():
-                uf.union(e.u, e.v)
             self._zero.append(e)
             self._bump()
-            # A zero edge merges supernodes under every bucket of both
-            # parities, so the whole store is re-certified.
-            return True, self._recert_all()
+            # The zero forest is the foot of both parities' chains.
+            zero = self._zero_uf
+            return True, self._climb(0, -1, zero, e) + self._climb(1, -1, zero, e)
         j = self._bands.index(e.w)
         raw = self._raw_adj.get(j)
         if raw and e.v in _hop_dists(raw, e.u, self._hop_limit, _ANY_KEY, goal=e.v):
             return False, [e]
-        key = _cert_key(e)
-        keys = self._band_keys.setdefault(j, [])
-        at = bisect_left(keys, key)
-        keys.insert(at, key)
-        self._bands_kept.setdefault(j, []).insert(at, e)
-        entry = (key, e)
+        entry = (_cert_key(e), e)
+        insort(self._bands_kept.setdefault(j, []), entry)
         _link(self._raw_adj.setdefault(j, {}), e.u, e.v, entry)
         self._bump()
         # The decision reports the distance-test outcome; the edge may still
@@ -256,37 +240,43 @@ class SpannerState:
 
     # -- re-certification ------------------------------------------------
 
+    def _survives(self, adj: _Adj, pairs: dict, a: int, b: int, key: _Key) -> bool:
+        """Whether the greedy pass keeps an edge with key on supernodes a, b.
+
+        It is deleted when a and b coincide, when an edge that sorts before
+        it is stored on the same supernode pair, or when band edges of adj
+        that sort before it give a path of at most 2t-1 supernode hops.
+        """
+        if a == b:
+            return False
+        twin = pairs.get((a, b) if a < b else (b, a))
+        if twin is not None and _cert_key(twin) < key:
+            return False
+        return b not in _hop_dists(adj, a, self._hop_limit, key, goal=b)
+
     def _recert_bucket(self, k: int, prefix: UnionFind) -> list[WeightedEdge]:
         """Greedy keep/delete pass over one bucket, supernodes from prefix.
 
-        Walking edges in survivor order, an edge is deleted when its
-        supernode endpoints coincide, when a kept bucket edge already joins
-        the same supernode pair, or when kept edges of its own band already
-        give a path of at most 2t-1 supernode hops.  Deleted edges are
-        always parallel to kept material, so contractions above this bucket
-        never change.  The kept edges become the bucket's supernode-pair
-        index and its bands' supernode adjacency under prefix.
+        Edges are walked in survivor order, so every edge already on a
+        pair sorts before the one tested.  Deleted edges are always
+        parallel to kept material, so contractions above this bucket never
+        change.  The kept edges become the bucket's supernode-pair index
+        and its bands' supernode adjacency under prefix.
         """
         pairs: dict[tuple[int, int], WeightedEdge] = {}
         adjs: dict[int, _Adj] = {}
         deleted: list[WeightedEdge] = []
-        for j, key, e in self._bucket_edges(k):
+        for j, entry in self._bucket_edges(k):
             adj = adjs.get(j)
             if adj is None:
                 adj = adjs[j] = {}
+            key, e = entry
             a, b = prefix.find(e.u), prefix.find(e.v)
-            if a == b:
+            if self._survives(adj, pairs, a, b, key):
+                pairs[(a, b) if a < b else (b, a)] = e
+                _link(adj, a, b, entry)
+            else:
                 deleted.append(e)
-                continue
-            pair = (a, b) if a < b else (b, a)
-            if pair in pairs:
-                deleted.append(e)
-                continue
-            if b in _hop_dists(adj, a, self._hop_limit, key, goal=b):
-                deleted.append(e)
-                continue
-            pairs[pair] = e
-            _link(adj, a, b, (key, e))
         self._pairs[k] = pairs
         self._sup_adj.update(adjs)
         return self._drop(deleted, k, prefix)
@@ -307,21 +297,17 @@ class SpannerState:
         """
         key, e = entry
         a, b = prefix.find(e.u), prefix.find(e.v)
-        if a == b:
+        pairs = self._pairs.setdefault(k0, {})
+        adj = self._sup_adj.setdefault(self._bands.index(e.w), {})
+        if not self._survives(adj, pairs, a, b, key):
             return self._drop([e], k0, prefix)
         pair = (a, b) if a < b else (b, a)
-        pairs = self._pairs.setdefault(k0, {})
         # Stored pairs are distinct, so there is at most one twin.
         twin = pairs.get(pair)
-        if twin is not None and _cert_key(twin) < key:
-            return self._drop([e], k0, prefix)
-        adj = self._sup_adj.setdefault(self._bands.index(e.w), {})
-        limit = self._hop_limit
-        if b in _hop_dists(adj, a, limit, key, goal=b):
-            return self._drop([e], k0, prefix)
         pairs[pair] = e
         _link(adj, a, b, entry)
         deleted = [] if twin is None else [twin]
+        limit = self._hop_limit
         if limit > 1:
             # e's entry replaced the twin's if they share a band, so the
             # twin is in no walk from here on.
@@ -352,9 +338,8 @@ class SpannerState:
         pairs = self._pairs.get(k, {})
         for x in deleted:
             j = self._bands.index(x.w)
-            keys, kept = self._band_keys[j], self._bands_kept[j]
-            at = bisect_left(keys, _cert_key(x))
-            del keys[at], kept[at]
+            kept = self._bands_kept[j]
+            del kept[bisect_left(kept, (_cert_key(x),))]
             _unlink(self._raw_adj[j], x.u, x.v, x)
             a, b = prefix.find(x.u), prefix.find(x.v)
             _unlink(self._sup_adj.get(j, {}), a, b, x)
@@ -366,25 +351,29 @@ class SpannerState:
 
     def _recert_from(self, k0: int, entry: _Entry) -> list[WeightedEdge]:
         e = entry[1]
-        parity = k0 % 2
-        prefix = self._prefix_uf(parity, k0)
+        prefix = self._prefix_uf(k0 % 2, k0)
         evicted = self._recert_inserted(k0, entry, prefix)
         if k0 not in self._closure:
             self._closure[k0] = prefix.copy()
-        levels = sorted(kk for kk in self._closure if kk % 2 == parity and kk >= k0)
-        for below, kk in zip(levels, levels[1:] + [None]):
-            if not self._closure[below].union(e.u, e.v):
-                # e's ends were joined already, here and at every level
-                # above, so higher buckets keep their certificates.  This
-                # is always the case when e itself was evicted.
-                break
-            if kk is not None:
-                evicted.extend(self._recert_bucket(kk, self._closure[below]))
-        return evicted
+        if not self._closure[k0].union(e.u, e.v):
+            # Always the case when e itself was evicted.
+            return evicted
+        return evicted + self._climb(k0 % 2, k0, self._closure[k0], e)
 
-    def _recert_all(self) -> list[WeightedEdge]:
+    def _climb(
+        self, parity: int, above: int, prefix: UnionFind, e: WeightedEdge
+    ) -> list[WeightedEdge]:
+        """Walk parity's chain up from prefix, which just joined e's ends.
+
+        Each bucket above ``above`` gets the full pass against the level
+        below it, then e's ends are joined in its closure.  The walk stops
+        at the first closure that had them joined already: it did not
+        change, so every bucket above it keeps its certificate.
+        """
         evicted = []
-        for parity in (0, 1):
-            for kk in self._nonempty_buckets(parity):
-                evicted.extend(self._recert_bucket(kk, self._prefix_uf(parity, kk)))
+        for k in sorted(kk for kk in self._closure if kk % 2 == parity and kk > above):
+            evicted.extend(self._recert_bucket(k, prefix))
+            prefix = self._closure[k]
+            if not prefix.union(e.u, e.v):
+                break
         return evicted

@@ -24,6 +24,14 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot band with base of type {type(x).__name__}")
 
 
+def check_epsilon(epsilon) -> Fraction:
+    """epsilon as a Fraction, refused unless it lies in (0, 1]."""
+    eps = as_fraction(epsilon)
+    if not 0 < eps <= 1:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    return eps
+
+
 class GeometricBands:
     """Assigns positive integer weights to bands [base^j, base^(j+1))."""
 

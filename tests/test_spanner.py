@@ -102,6 +102,29 @@ def test_zero_edge_can_evict_stored_weighted_edge():
     assert evicted == [WeightedEdge(0, 1, 3, 0)]
 
 
+def test_zero_edge_re_certifies_only_buckets_whose_contraction_changes(monkeypatch):
+    # (0, 1) is stored in bucket 0, so bucket 0's closure joins 0 and 1
+    # already; the zero edge changes the contraction under bucket 0 only,
+    # and bucket 2 above it keeps its certificate without a pass
+    state = SpannerState(6, 2, HALF)
+    assert state.bucket_width == 13
+    heavy = 2 * 10**6
+    _stream(state, [(0, 1, 1), (2, 3, heavy), (3, 4, heavy)])
+    assert [state.bucket_of_band(state.band_of_weight(w)) for w in (1, heavy)] == [0, 2]
+    passes = []
+    full_pass = SpannerState._recert_bucket
+
+    def recording(self, k, prefix):
+        passes.append(k)
+        return full_pass(self, k, prefix)
+
+    monkeypatch.setattr(SpannerState, "_recert_bucket", recording)
+    accepted, evicted = state.insert(WeightedEdge(0, 1, 0, 3))
+    assert accepted
+    assert [e.arrival for e in evicted] == [0]
+    assert passes == [0]
+
+
 def test_spanning_tree_stream_kept_whole():
     rng = random.Random(41)
     n = 20
