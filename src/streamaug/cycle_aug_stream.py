@@ -13,24 +13,24 @@ keeps per-class spanning-forest-like link sets screened by 3-edge-connected
 components, and remembers a best arc per (component, fine band, side) so
 that a final exact solve stays within a (2 + O(eps)) factor.
 
-Every graph the weighted store screens is the cycle plus some links, so its
-cuts of size at most 2 are exactly the intervals that no held link crosses,
-and two vertices are 3-edge-connected exactly when no such interval holds
-one and not the other.  The store therefore keeps intervals as bits of a
-Python int: ``contain[x]`` has the bit of every interval holding x, a link
-(u, v) crosses the intervals ``contain[u] ^ contain[v]``, and the uncovered
-set starts as every interval and loses the bits of each held link.  A
-component is named by its signature ``contain[v] & uncovered``, which keys
-the best-arc tables.  Between inserts every class is a fixed point of its
-screen, so an arriving link is tested once: a redundant one changes no class,
-and a kept one only shrinks the uncovered sets above it, as a re-screen drops
-a link only when earlier kept links cover every interval it crosses.  So an
-old signature masked with the new uncovered set is the new signature.
+Every graph the weighted store screens is the cycle plus some links, whose
+cuts of at most two edges are the pairs of cycle edges no held link
+separates.  Each class labels cycle edge e_i = (i, i+1 mod n) so that two
+edges share a label exactly when they form such an uncovered 2-cut, and
+keeping a link splits every label into its edges on the link's path and the
+rest.  Labels never interleave round the cycle, so one walk names the
+3-edge-connected component of each vertex x by its smallest vertex
+``comp[x]``, which keys the best-arc tables.  Between inserts every class is
+a fixed point of its screen, so an arriving link is tested once, by
+``comp[u] != comp[v]``.  A kept one only merges components above it, as a
+re-screen drops only links whose ends are already joined, so an old table
+key s becomes ``comp[s]``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 from .graph_core import Arc, Partition, WeightedEdge
 from .graph_core import three_edge_components  # noqa: F401  (benchmark/spans.py wraps it here)
@@ -38,19 +38,35 @@ from .oracles import exact_directed_cycle_cover
 from .weightbands import GeometricBands, check_epsilon
 
 
-def _interval_masks(n: int) -> list[int]:
-    """contain[x] for the rooted n-cycle: one bit per interval [l, r] holding x.
+def _split(lab: list[int], u: int, v: int) -> list[int] | None:
+    """Labels once link (u, v) joins ``lab``, or None if it splits no label.
 
-    Intervals are numbered by l, then r, so those starting at l fill a block
-    of n - l bits from offset(l); x lies in [l, r] for l <= x <= r.
+    A label with edges on and off the u..v path gives its path edges a fresh label.
     """
-    contain = [0] * n
-    offset = 0
-    for l in range(1, n):
-        for x in range(l, n):
-            contain[x] |= ((1 << (n - x)) - 1) << (offset + x - l)
-        offset += n - l
-    return contain
+    u, v = sorted((u, v))
+    path = lab[u:v]
+    split = set(path).intersection(lab[:u] + lab[v:])
+    if not split:
+        return None
+    fresh = dict(zip(split, count(max(lab) + 1)))
+    return lab[:u] + list(map(fresh.get, path, path)) + lab[v:]
+
+
+def _state(lab: list[int]) -> tuple[list[int], list[int]]:
+    """The class state ``(lab, comp)``, each label renamed to its first edge.
+
+    If the label l of e_{x-1} has a later edge, x starts a gap of l and ``comp[x]``
+    is x; else x lies in the gap that holds all of l, as vertex l does.
+    """
+    n = len(lab)
+    first = dict(zip(reversed(lab), range(n - 1, -1, -1)))
+    lab = list(map(first.__getitem__, lab))
+    last = dict(zip(lab, range(n)))
+    comp = [0]
+    for x in range(1, n):
+        l = lab[x - 1]
+        comp.append(x if last[l] >= x else comp[l])
+    return lab, comp
 
 
 def _dedup_links(arcs: list[Arc]) -> list[WeightedEdge]:
@@ -127,16 +143,14 @@ class WeightedAugState:
     are almost free, and fine bands with base 1+eps distinguish weights
     within a coarse class.  Weight-zero links and each coarse class keep a
     link set screened against 3-edge-connected components: a link is
-    redundant exactly when it crosses no interval that the kept cheaper
-    material leaves uncovered, and keeping it clears its crossing bits.
-    ``_unc[k]`` is the uncovered set reached after screening class k: the
-    intervals that no kept link of the zero class, or of k's parity chain up
-    to k, crosses.  Between inserts every class is a fixed point of its
-    screen: re-screened from ``_unc_at(k - 2)`` it keeps every link and
-    reaches ``_unc[k]``.  A component is named by its signature ``contain[v]
-    & unc``, so the store has no vertex guard and keeps no partition.  The
-    arcs of every positive link also feed a best-arc table two coarse
-    classes down, keyed by (head's signature, fine band, side), which
+    redundant exactly when the cycle and the kept cheaper material already
+    3-edge-connect its ends.  ``_state[k]`` is the (labels, components) pair
+    of length-n int lists reached after screening class k: the cycle plus
+    the kept links of the zero class and of k's parity chain up to k.
+    Between inserts every class is a fixed point of its screen: re-screened
+    from ``_state_at(k - 2)`` it keeps every link and reaches ``_state[k]``.
+    The arcs of every positive link also feed a best-arc table two coarse
+    classes down, keyed by (head's component, fine band, side), which
     finalize solves over.  When eps < 1/n the banding collapses and the
     store simply keeps the cheapest link per endpoint pair.
     """
@@ -152,12 +166,10 @@ class WeightedAugState:
         self._best: dict[tuple[int, int], WeightedEdge] = {}
         self._forest: dict[int, list[WeightedEdge]] = {}
         self._arcs: dict[int, dict[tuple[int, int, str], Arc]] = {}
-        self._unc: dict[int, int] = {}
+        self._state = {-1: _state([0] * n)}
         self._forest_count = 0
         self._arc_count = 0
         if not self.is_trivial:
-            self._contain = _interval_masks(n)
-            self._all_intervals = (1 << (n * (n - 1) // 2)) - 1
             self._fine = GeometricBands(1 + eps)
             self._coarse = GeometricBands(Fraction(n) / eps)
 
@@ -189,13 +201,12 @@ class WeightedAugState:
 
         The zero class joins both parity chains, so it always participates.
         """
-        unc = self._unc_at(k)
-        return Partition([c & unc for c in self._contain])
+        return Partition(self._state_at(k)[1])
 
-    def _unc_at(self, k: int) -> int:
-        """Uncovered set of the largest screened class <= k of k's parity."""
-        below = [j for j in self._unc if 0 <= j <= k and (k - j) % 2 == 0]
-        return self._unc[max(below)] if below else self._unc.get(-1, self._all_intervals)
+    def _state_at(self, k: int) -> tuple[list[int], list[int]]:
+        """State of the largest screened class <= k of k's parity, else the zero class."""
+        below = [j for j in self._state if 0 <= j <= k and (k - j) % 2 == 0]
+        return self._state[max(below) if below else -1]
 
     # -- insertion -------------------------------------------------------
 
@@ -215,12 +226,11 @@ class WeightedAugState:
             return
         kp = self.coarse_class_of(link.w)
         self._peak = max(self._peak, self.stored_count + 1)
-        unc = self._unc_at(kp)
-        cross = self._contain[link.u] ^ self._contain[link.v]
-        if unc & cross:
+        lab, comp = self._state_at(kp)
+        if comp[link.u] != comp[link.v]:
             self._forest.setdefault(kp, []).append(link)
             self._forest_count += 1
-            self._unc[kp] = unc & ~cross
+            self._state[kp] = _state(_split(lab, link.u, link.v))
             for k in sorted(self._forest):
                 if k > kp and (kp == -1 or (k - kp) % 2 == 0):
                     self._screen(k)
@@ -232,56 +242,46 @@ class WeightedAugState:
         self._peak = max(self._peak, self.stored_count)
 
     def _screen(self, k: int) -> None:
-        """Re-screen class k from the uncovered set below it, recording ``_unc[k]``."""
-        contain = self._contain
-        unc = self._unc_at(k - 2)
+        """Re-screen class k from the state below it: a link stays if it splits a label."""
+        lab = self._state_at(k - 2)[0]
         kept = []
         for e in self._forest[k]:
-            cross = contain[e.u] ^ contain[e.v]
-            if unc & cross:
+            split = _split(lab, e.u, e.v)
+            if split is not None:
                 kept.append(e)
-                unc &= ~cross
+                lab = split
         self._forest_count -= len(self._forest[k]) - len(kept)
         self._forest[k] = kept
-        self._unc[k] = unc
+        self._state[k] = _state(lab)
 
     def _regroup(self, k: int) -> None:
-        # uncovered sets only shrink, so sig & unc is the head's new
-        # signature, and heads of merged components collide on one key
-        unc = self._unc_at(k)
-        merged: dict[tuple[int, int, str], Arc] = {}
-        for (sig, fi, side), arc in self._arcs[k].items():
-            key = (sig & unc, fi, side)
-            cur = merged.get(key)
-            if cur is None:
-                merged[key] = arc
-            else:
-                merged[key] = self._better(cur, arc, side)
-                self._arc_count -= 1
-        self._arcs[k] = merged
-
-    @staticmethod
-    def _better(a: Arc, b: Arc, side: str) -> Arc:
-        ka = (a.x if side == "lo" else -a.x, a.w, a.origin.arrival)
-        kb = (b.x if side == "lo" else -b.x, b.w, b.origin.arrival)
-        return a if ka <= kb else b
+        # components only merge, so comp[s] keys the head's new component,
+        # and heads of merged components collide on one key
+        comp = self._state_at(k)[1]
+        old, self._arcs[k] = self._arcs[k], {}
+        self._arc_count -= len(old)
+        for (s, fi, side), arc in old.items():
+            self._file(self._arcs[k], (comp[s], fi, side), arc)
 
     def _offer_arcs(self, link: WeightedEdge, k: int) -> None:
-        unc = self._unc_at(k)
+        comp = self._state_at(k)[1]
         fi = self._fine.index(link.w)
-        store = self._arcs.setdefault(k, {})
+        table = self._arcs.setdefault(k, {})
         for x, y in ((link.u, link.v), (link.v, link.u)):
-            sig = self._contain[y] & unc
-            if self._contain[x] & unc == sig:
-                continue
-            key = (sig, fi, "lo" if x < y else "hi")
-            arc = Arc(x, y, link.w, link)
-            cur = store.get(key)
-            if cur is None:
-                store[key] = arc
-                self._arc_count += 1
-            else:
-                store[key] = self._better(cur, arc, key[2])
+            if comp[x] != comp[y]:
+                key = (comp[y], fi, "lo" if x < y else "hi")
+                self._file(table, key, Arc(x, y, link.w, link))
+
+    def _file(self, table: dict[tuple[int, int, str], Arc], key, arc: Arc) -> None:
+        """Keep the better arc under key: extreme tail, then lighter, then earlier."""
+        cur = table.get(key)
+        if cur is None:
+            self._arc_count += 1
+        else:
+            s = 1 if key[2] == "lo" else -1
+            if (s * cur.x, cur.w, cur.origin.arrival) <= (s * arc.x, arc.w, arc.origin.arrival):
+                return
+        table[key] = arc
 
     # -- finalize --------------------------------------------------------
 
@@ -289,14 +289,7 @@ class WeightedAugState:
         """Deterministic arc pool finalize solves over.
 
         Kept links come first, both ways; each arc table follows in key order,
-        which is (smallest vertex of the head's component, fine band, side)
-        order.  For let a < b be the smallest vertices of two components: b-1
-        is not in b's component, so the cycle edge (b-1, b) pairs into
-        uncovered 2-cuts.  Were all its partners before it, the vertex that
-        starts the first partner would be 3-edge-connected to b, as 2-cuts
-        that cross have 2-cut corners.  So some uncovered [b, r] holds b and
-        not a, and as intervals are numbered by l it outranks every interval
-        holding a and not b, which starts at or before a.
+        which is (smallest vertex of the head's component, fine band, side).
         """
         links = sorted(self._best.values(), key=lambda e: e.arrival)
         for k in sorted(self._forest):

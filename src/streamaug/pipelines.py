@@ -115,11 +115,11 @@ class CactusAugmentation:
     positions; the others lay inside one cactus node.
     """
 
-    def __init__(self, unfolded: UnfoldedCycle, cycle_links, peak_stored: int):
+    def __init__(self, unfolded: UnfoldedCycle, cycle_links, peak_stored: int, picked=None):
         self.unfolded = unfolded
         self.cycle_links = cycle_links
         self.peak_stored = peak_stored
-        self.picked: list[WeightedEdge] | None = None
+        self.picked: list[WeightedEdge] | None = picked
         self.reason: str | None = None
 
     def cycle_cover_weight(self) -> int | None:
@@ -132,6 +132,8 @@ class CactusAugmentation:
         # resolved through streamaug.oracles at call time, where the tracer wraps it
         from .oracles import exact_directed_cycle_cover
 
+        if self.unfolded.length == 1:
+            return 0
         arcs = []
         for cl in self.unfolded.links + tuple(self.cycle_links):
             arcs.append(Arc(cl.u, cl.v, cl.w, cl))
@@ -154,6 +156,8 @@ def augment_over_cactus(cactus: CactusGraph, links, epsilon) -> CactusAugmentati
     they came from.
     """
     unf = cactus_unfold(cactus)
+    if unf.length == 1:  # one node folds no cut, and every link lies inside it
+        return CactusAugmentation(unf, [], 0, picked=[])
     state = WeightedAugState(unf.length, epsilon)
     for zl in unf.links:
         state.insert(zl)
@@ -260,7 +264,8 @@ def kcap_fully_streaming(
         if ev.kind == "E":
             cert.insert(ev.edge)
         else:
-            links_all.append(ev.edge)
+            if with_oracle:
+                links_all.append(ev.edge)
             spanner.insert(ev.edge)
     peaks = {"certificate": len(cert), "spanner": spanner.peak_stored}
     details = {"kept_links": spanner.stored_count}
@@ -314,7 +319,8 @@ def stap_fully_streaming(
                 raise ValueError(f"base edge closes a cycle: {ev.edge}")
             base_edges.append(ev.edge)
         else:
-            links_all.append(ev.edge)
+            if with_oracle:
+                links_all.append(ev.edge)
             spanner.insert(ev.edge)
     root = terminals[0]
     if any(not base_uf.same(root, r) for r in terminals[1:]):

@@ -208,6 +208,23 @@ def test_cli_link_arrival_cactus_mode(tmp_path, capsys):
     assert report["details"]["cycle_cover_weight"] == 2
 
 
+def test_cli_one_node_cactus_has_no_cut_to_cover(tmp_path, capsys):
+    # a one-node cactus folds no cut: its unfolded cycle has length 1, every
+    # link lies inside the one node, and the empty link set is the answer
+    cactus_file = tmp_path / "one.cactus"
+    cactus_file.write_text("cactus m=1 n=3\nP 0 0\nP 1 0\nP 2 0\n")
+    stream = tmp_path / "links.txt"
+    stream.write_text("header n=3\nL 0 1 5\nL 1 2 3\n")
+    argv = ["kcap-link", str(stream), "--cactus", str(cactus_file), "--epsilon", "0.5"]
+    for extra in ([], ["--with-oracle"]):
+        code, report = _report(argv + extra, capsys)
+        assert code == 0
+        assert report["feasible"] is True
+        assert (report["output_size"], report["output_weight"]) == (0, 0)
+        assert report["details"]["cycle_length"] == 1
+        assert report["details"]["dropped_links"] == 2
+
+
 def test_cli_cactus_mode_refuses_base_edges(tmp_path, capsys):
     cac = cactus_build([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
     cactus_file = tmp_path / "ring4.cactus"

@@ -266,6 +266,32 @@ def test_screening_preserves_three_edge_components():
             assert state.partition(k) == three_edge_components(edges, n)
 
 
+def test_class_state_labels_cycle_edges_and_names_components_by_smallest_vertex():
+    # cycle edge e_i = (i, i+1): on the 8-ring, keeping (1, 5) splits
+    # e_1..e_4 off the one label, and keeping (2, 4) then splits e_2, e_3
+    # off that; comp[x] is the smallest vertex 3-edge-connected to x
+    n = 8
+    state = WeightedAugState(n, Fraction(1, 2))
+    held = _ring(n)
+    steps = [
+        ((1, 5), [0, 1, 1, 1, 1, 0, 0, 0], [0, 1, 2, 3, 4, 1, 6, 7]),
+        ((2, 4), [0, 1, 2, 2, 1, 0, 0, 0], [0, 1, 2, 3, 2, 1, 6, 7]),
+    ]
+    for i, ((u, v), lab, comp) in enumerate(steps):
+        state.insert(WeightedEdge(u, v, 1, i))
+        held.append((u, v))
+        assert state.forest_edges(0)[-1].pair == (u, v)
+        assert state._state[0] == (lab, comp)
+        part = three_edge_components(held, n)
+        assert comp == [part.rep_of(x) for x in range(n)]
+        # every class keeps two length-n int lists and nothing else
+        for pair in state._state.values():
+            assert len(pair) == 2
+            for xs in pair:
+                assert type(xs) is list and len(xs) == n
+                assert all(type(x) is int for x in xs)
+
+
 def test_peak_counts_start_at_zero_and_stay_small():
     state = WeightedAugState(5, Fraction(1, 2))
     assert state.peak_stored == 0
@@ -329,7 +355,7 @@ def test_weighted_finalize_feasible_and_within_ratio():
         assert weight <= (2 + 6 * eps) * opt[0]
 
 
-# -- interval bitsets against the generic 3-edge-connectivity route ---------
+# -- cycle-edge labels against the generic 3-edge-connectivity route --------
 
 
 class _ThreeEccStore:
@@ -339,7 +365,8 @@ class _ThreeEccStore:
     with ``three_edge_components`` after every kept link, every arc table is
     re-keyed after every insert by the smallest vertex of each component,
     and the trivial mode keeps the cheapest link per pair.  This is how the
-    store worked before interval bitsets.
+    store worked before it screened by interval bitsets, and later by
+    cycle-edge labels.
     """
 
     def __init__(self, n, eps):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from streamaug import pipelines
 from streamaug.cactus import cactus_build
 from streamaug.graph_core import WeightedEdge
 from streamaug.oracles import AugmentationInstance, exact_kcap
@@ -375,6 +378,53 @@ def test_tree_augmentation_doubles_every_terminal_pair():
         for i, a in enumerate(terms):
             for b in terms[i + 1 :]:
                 assert support.nx_pair_flow(combined, n, a, b) >= 2
+
+
+# -- the fully streaming pipelines hold only what their sketches keep -------
+
+
+def _weakly_held_stream(rng, base, n, m, check):
+    """The base edges, then m random links, of which the stream keeps weak references.
+
+    After the last yield it collects garbage and hands ``check`` the number
+    of links still alive.
+    """
+    refs = []
+    for e in base:
+        yield StreamEvent("E", e)
+    for j in range(m):
+        ev = _ev("L", *rng.sample(range(n), 2), rng.randint(1, 50), 100 + j)
+        refs.append(weakref.ref(ev.edge))
+        yield ev
+    del ev
+    gc.collect()
+    check(sum(r() is not None for r in refs))
+
+
+@pytest.mark.parametrize("pipeline", ["kcap-full", "stap"])
+def test_fully_streaming_pipelines_keep_no_copy_of_the_links(monkeypatch, pipeline):
+    spanners, live_counts = [], []
+
+    class RecordedSpanner(pipelines.SpannerState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spanners.append(self)
+
+    def check(live):
+        # the pipeline's loop variable still holds the last link
+        assert live <= spanners[0].stored_count + 1
+        live_counts.append(live)
+
+    monkeypatch.setattr(pipelines, "SpannerState", RecordedSpanner)
+    n = 5
+    base = _edges([(i, i + 1, 0) for i in range(n - 1)])
+    stream = _weakly_held_stream(random.Random(64), base, n, 200, check)
+    if pipeline == "kcap-full":
+        report = kcap_fully_streaming(stream, n, 2, t=2, epsilon=Fraction(1, 2))
+    else:
+        report = stap_fully_streaming(stream, n, range(n), t=2, epsilon=Fraction(1, 2))
+    assert report.feasible
+    assert len(live_counts) == 1
 
 
 # -- subgraph construction by repeated augmentation -------------------------
