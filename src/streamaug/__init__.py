@@ -6,11 +6,9 @@ from .cycle_aug_stream import UnweightedArcStore, WeightedAugState
 from .errors import Infeasible, SizeGuardError, StreamFormatError
 from .graph_core import (
     Arc,
-    CutSide,
     Partition,
     UnionFind,
     WeightedEdge,
-    cuts_of_size_at_most,
     edge_connectivity_at_least,
     three_edge_components,
 )
@@ -39,7 +37,6 @@ __all__ = [
     "AugmentationInstance",
     "CactusGraph",
     "Cascade",
-    "CutSide",
     "ForestStack",
     "GeometricBands",
     "Infeasible",
@@ -60,7 +57,6 @@ __all__ = [
     "cactus_build",
     "cactus_unfold",
     "cactus_validate",
-    "cuts_of_size_at_most",
     "edge_connectivity_at_least",
     "exact_directed_cycle_cover",
     "exact_kcap",

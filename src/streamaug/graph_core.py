@@ -48,14 +48,6 @@ class Arc:
     origin: WeightedEdge | None = None
 
 
-@dataclass(frozen=True)
-class CutSide:
-    """One side of a cut, with the number of edges crossing it."""
-
-    members: frozenset[int]
-    boundary_size: int
-
-
 def edge_ends(e) -> tuple[int, int]:
     """Endpoints of an edge given as WeightedEdge or (u, v, ...) tuple."""
     if isinstance(e, WeightedEdge):
@@ -259,19 +251,6 @@ def _bit_positions(x: int) -> list[int]:
 
 def _mask_members(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in _bit_positions(mask))
-
-
-def cuts_of_size_at_most(edges, n: int, c: int) -> list[CutSide]:
-    """All proper cut sides avoiding vertex 0 with at most c crossing edges.
-
-    Returned in increasing order of the side's bitmask.
-    """
-    levels = cut_size_table(edges, n, c + 1)
-    found = []
-    for size in range(min(c, len(levels) - 1) + 1):
-        exact = levels[size] & sides_at_most(levels, size) & ~1
-        found += [(mask, size) for mask in _bit_positions(exact)]
-    return [CutSide(_mask_members(mask), size) for mask, size in sorted(found)]
 
 
 def _capacity_map(edges, n: int) -> dict[int, dict[int, int]]:

@@ -15,22 +15,41 @@ not survive concatenation of independent subproblems.
 Every set of cut sides is one int, as in ``graph_core``: bit ``mask`` of a
 link's set is whether the link crosses side ``mask``.  The design
 multicover keeps its counts bit-sliced: ``cov[j]`` holds the sides that at
-least j chosen edges cross, and ``suf[i][j]`` the sides that at least j of
-edges i..m-1 cross.  Every demand is met when each side needing
-at least j crossings lies in ``cov[j]``; a branch is dead when some side
-needing j lies outside the OR over a of ``cov[a] & suf[i][j-a]``, the sides
-that the chosen edges plus the undecided ones can still cross j times.
-These are exactly the tests that per-side deficit and slack counters make,
-so with the same branch order, bound and tie-break the search visits the
-same nodes and returns the same subset; a node costs a few big-integer
-operations instead of a walk over the sides each edge crosses.
+least j chosen edges cross.  Every demand is met when each side needing at
+least j crossings lies in ``cov[j]``.
+
+Both branch-and-bound searches run depth-first over the indices in order,
+include-first, and prune to the affordable edges: the undecided edges
+(index i and up) that weigh at most ``best - weight``, ``best`` being the
+incumbent's weight and ``weight`` the chosen edges'.  A branch goes on only
+while the chosen edges plus the affordable ones can still meet every
+demand; for the multicover, only while each side needing j crossings lies
+in the OR over a of ``cov[a] & rest[j - a]``, ``rest`` being the affordable
+edges' levels.  Edge i is included only when it is itself affordable.
+
+The pruning is admissible.  Weights are non-negative, so a completion that
+ties or beats the incumbent adds at most ``best - weight`` in total, and
+each edge it adds weighs at most that; if the affordable edges cannot meet
+every demand, no such completion exists.  It is also strict: an edge
+weighing exactly ``best - weight`` stays affordable, so every subset that
+ties the incumbent is still reached.  Include-first order reaches covering
+subsets in increasing lexicographic order, because a covering prefix ends
+its branch.  So a later tie never replaces the incumbent, and the search
+returns the lex-least optimum, as a search pruning on the running weight
+alone does, while visiting a subset of its nodes.  Before any incumbent
+exists the budget is infinite and every undecided edge is affordable; a
+branch already heavier than the incumbent has a negative budget and no
+affordable edge, so it is cut.  A node finds the affordable edges' state by
+one bisection into a table built once per call (``_affordable``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
+from math import inf
 
 from .errors import Infeasible, SizeGuardError
 from .graph_core import (
@@ -75,18 +94,38 @@ class AugmentationInstance:
             )
 
 
+def _affordable(weights: list[int], fold, empty) -> list[tuple[list[int], list]]:
+    """Per index i, the weights of edges i..m-1 in ascending order and their prefix states.
+
+    ``tables[i] = (ws, states)``, where ``states[k]`` folds ``empty`` over
+    the k lightest of edges i..m-1 with ``fold(state, index)``, so
+    ``states[bisect_right(ws, budget)]`` is the state of the undecided edges
+    that weigh at most ``budget``.  ``fold`` must not depend on the order of
+    the edges folded.  Built right to left: edge i enters the table of i + 1
+    at its rank, the states below the rank are shared, and the ones above
+    are folded once more.
+    """
+    tables = [([], [empty])]
+    for i in range(len(weights) - 1, -1, -1):
+        ws, states = tables[-1]
+        r = bisect_right(ws, weights[i])
+        tables.append(
+            (ws[:r] + [weights[i]] + ws[r:], states[: r + 1] + [fold(st, i) for st in states[r:]])
+        )
+    tables.reverse()
+    return tables
+
+
 def _cover_branch_and_bound(masks: list[int], weights: list[int], full: int):
     """Min-weight cover of the bits in ``full``; ties to the lex-least index set.
 
-    Depth-first, include-first over indices in order.  A branch stops as soon
-    as it covers everything: any strict superset of a covering prefix weighs
-    at least as much and its index tuple is lexicographically larger, so
-    nothing better lies below.
+    A branch stops as soon as it covers everything: any strict superset of a
+    covering prefix weighs at least as much and its index tuple is
+    lexicographically larger, so nothing better lies below.  Otherwise it
+    goes on only while the affordable edges (module docstring) can cover what
+    is left; their state is the OR of their masks.
     """
-    m = len(masks)
-    suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
+    tables = _affordable(weights, lambda covered, i: covered | masks[i], 0)
     best: list = [None]
 
     def walk(i: int, covered: int, weight: int, chosen: list[int]) -> None:
@@ -95,15 +134,15 @@ def _cover_branch_and_bound(masks: list[int], weights: list[int], full: int):
             if best[0] is None or cand < best[0]:
                 best[0] = cand
             return
-        if i == m:
+        ws, states = tables[i]
+        budget = inf if best[0] is None else best[0][0] - weight
+        rest = states[bisect_right(ws, budget)]
+        if covered | rest != full:
             return
-        if covered | suffix[i] != full:
-            return
-        if best[0] is not None and weight > best[0][0]:
-            return
-        chosen.append(i)
-        walk(i + 1, covered | masks[i], weight + weights[i], chosen)
-        chosen.pop()
+        if weights[i] <= budget:
+            chosen.append(i)
+            walk(i + 1, covered | masks[i], weight + weights[i], chosen)
+            chosen.pop()
         walk(i + 1, covered, weight, chosen)
 
     walk(0, 0, 0, [])
@@ -202,17 +241,19 @@ def _multicover_branch_and_bound(cross: list[int], weights: list[int], need: lis
     """Min-weight multicover over side bitsets; ties to the lex-least index set.
 
     ``cross[i]`` holds the sides edge i crosses and ``need[j-1]`` the sides
-    to be crossed at least j times; level 0 of ``cov`` and ``suf`` (module
-    docstring) stands for every side with a demand.
+    to be crossed at least j times.  The affordable edges' state (module
+    docstring) is their bit-sliced levels, laid out as ``cov``; level 0 of
+    both stands for every side with a demand.
     """
-    m, top = len(cross), len(need)
+    top = len(need)
     levels = range(1, top + 1)
-    suf = [[need[0]] + [0] * top]
-    for c in reversed(cross):
-        below = suf[-1]
-        suf.append([need[0]] + [below[j] | (below[j - 1] & c) for j in levels])
-    suf.reverse()
-    # a side reaches j crossings when a chosen and j - a undecided edges can
+
+    def grow(counts: list[int], c: int) -> list[int]:
+        return [counts[0]] + [counts[j] | (counts[j - 1] & c) for j in levels]
+
+    empty = [need[0]] + [0] * top
+    tables = _affordable(weights, lambda counts, i: grow(counts, cross[i]), empty)
+    # a side reaches j crossings when a chosen and j - a affordable edges can
     reach_terms = [(need[j - 1], [(a, j - a) for a in range(j + 1)]) for j in levels]
     met = list(zip(need, levels))
     best: list = [None]
@@ -226,23 +267,22 @@ def _multicover_branch_and_bound(cross: list[int], weights: list[int], need: lis
             if best[0] is None or cand < best[0]:
                 best[0] = cand
             return
-        if i == m or (best[0] is not None and weight > best[0][0]):
-            return
-        rest = suf[i]
+        ws, states = tables[i]
+        budget = inf if best[0] is None else best[0][0] - weight
+        rest = states[bisect_right(ws, budget)]
         for want, terms in reach_terms:
             reach = 0
             for a, b in terms:
                 reach |= cov[a] & rest[b]
             if want & ~reach:
                 return
-        c = cross[i]
-        chosen.append(i)
-        grown = [cov[0]] + [cov[j] | (cov[j - 1] & c) for j in levels]
-        walk(i + 1, weight + weights[i], chosen, grown)
-        chosen.pop()
+        if weights[i] <= budget:
+            chosen.append(i)
+            walk(i + 1, weight + weights[i], chosen, grow(cov, cross[i]))
+            chosen.pop()
         walk(i + 1, weight, chosen, cov)
 
-    walk(0, 0, [], [need[0]] + [0] * top)
+    walk(0, 0, [], empty)
     return best[0]
 
 
@@ -276,7 +316,7 @@ def exact_sndp(
     side sets of all pairs requiring at least j; branch-and-bound then runs
     over edge subsets with bit-sliced crossing counts.  Returns (chosen
     edges, weight) or raises Infeasible; an edge or pair with an end outside
-    0..n-1 is a ValueError.
+    0..n-1, or an edge of negative weight, is a ValueError.
     """
     edges = list(edges)
     if n > SNDP_MAX_N:
@@ -294,6 +334,9 @@ def exact_sndp(
         if r < 0:
             raise ValueError(f"negative requirement: {r}")
     check_endpoints(edges, n)
+    for e in edges:
+        if e.w < 0:
+            raise ValueError(f"negative edge weight: {e}")
     top = max((r for _, _, r in pairs), default=0)
     if top == 0:
         return [], 0

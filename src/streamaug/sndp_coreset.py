@@ -151,7 +151,7 @@ def solve_sndp(coreset, requirements: Requirements) -> SndpSolution:
     Since the previous phase already reached one less, each phase faces
     deficits of at most one and reduces to a plain set cover, solved over
     the layers unlocked so far minus everything already chosen.  An edge
-    with an end outside 0..n-1 is a ValueError.
+    with an end outside 0..n-1 or a negative weight is a ValueError.
     """
     layers = coreset.layers() if hasattr(coreset, "layers") else [list(l) for l in coreset]
     n = requirements.n
@@ -165,6 +165,9 @@ def solve_sndp(coreset, requirements: Requirements) -> SndpSolution:
         )
     for layer in layers:
         check_endpoints(layer, n)
+        for e in layer:
+            if e.w < 0:
+                raise ValueError(f"negative edge weight: {e}")
     bits = side_bits(n)
     need = _demand_levels(bits, _requirement_pairs(requirements), k)
     # cross[j]: the sides the chosen edges cross at least j times

@@ -14,8 +14,12 @@ import heapq
 import itertools
 import random
 
+from dataclasses import dataclass
+
 import networkx as nx
 import numpy as np
+
+from streamaug.graph_core import _bit_positions, _mask_members, cut_size_table, sides_at_most
 
 
 # ---------------------------------------------------------------------------
@@ -538,3 +542,118 @@ def reference_solve_sndp(layers, requirements, cover):
             chosen.append(e)
             crossings += member[e.u] ^ member[e.v]
     return tuple(chosen), sum(e.w for e in chosen), tuple(phases)
+
+
+# ---------------------------------------------------------------------------
+# cut sides one by one, over the library's cut table
+
+
+@dataclass(frozen=True)
+class CutSide:
+    """One side of a cut, with the number of edges crossing it."""
+
+    members: frozenset[int]
+    boundary_size: int
+
+
+def cuts_of_size_at_most(edges, n: int, c: int) -> list[CutSide]:
+    """All proper cut sides avoiding vertex 0 with at most c crossing edges.
+
+    Returned in increasing order of the side's bitmask.
+    """
+    levels = cut_size_table(edges, n, c + 1)
+    found = []
+    for size in range(min(c, len(levels) - 1) + 1):
+        exact = levels[size] & sides_at_most(levels, size) & ~1
+        found += [(mask, size) for mask in _bit_positions(exact)]
+    return [CutSide(_mask_members(mask), size) for mask, size in sorted(found)]
+
+
+# ---------------------------------------------------------------------------
+# the branch-and-bound searches before affordable-edge pruning
+
+
+def reference_cover_branch_and_bound(masks: list[int], weights: list[int], full: int):
+    """Min-weight cover of the bits in ``full``; ties to the lex-least index set.
+
+    Depth-first, include-first over indices in order.  A branch stops as soon
+    as it covers everything: any strict superset of a covering prefix weighs
+    at least as much and its index tuple is lexicographically larger, so
+    nothing better lies below.
+    """
+    m = len(masks)
+    suffix = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+    best: list = [None]
+
+    def walk(i: int, covered: int, weight: int, chosen: list[int]) -> None:
+        if covered == full:
+            cand = (weight, tuple(chosen))
+            if best[0] is None or cand < best[0]:
+                best[0] = cand
+            return
+        if i == m:
+            return
+        if covered | suffix[i] != full:
+            return
+        if best[0] is not None and weight > best[0][0]:
+            return
+        chosen.append(i)
+        walk(i + 1, covered | masks[i], weight + weights[i], chosen)
+        chosen.pop()
+        walk(i + 1, covered, weight, chosen)
+
+    walk(0, 0, 0, [])
+    return best[0]
+
+
+def reference_multicover_branch_and_bound(cross: list[int], weights: list[int], need: list[int]):
+    """Min-weight multicover over side bitsets; ties to the lex-least index set.
+
+    ``cross[i]`` holds the sides edge i crosses and ``need[j-1]`` the sides
+    to be crossed at least j times.  ``cov[j]`` holds the sides that at least
+    j chosen edges cross and ``suf[i][j]`` the sides that at least j of edges
+    i..m-1 cross; level 0 of both stands for every side with a demand.  A
+    branch is dead when some side needing j lies outside the OR over a of
+    ``cov[a] & suf[i][j-a]``, or when it already outweighs the incumbent.
+    """
+    m, top = len(cross), len(need)
+    levels = range(1, top + 1)
+    suf = [[need[0]] + [0] * top]
+    for c in reversed(cross):
+        below = suf[-1]
+        suf.append([need[0]] + [below[j] | (below[j - 1] & c) for j in levels])
+    suf.reverse()
+    # a side reaches j crossings when a chosen and j - a undecided edges can
+    reach_terms = [(need[j - 1], [(a, j - a) for a in range(j + 1)]) for j in levels]
+    met = list(zip(need, levels))
+    best: list = [None]
+
+    def walk(i: int, weight: int, chosen: list[int], cov: list[int]) -> None:
+        for want, j in met:
+            if want & ~cov[j]:
+                break
+        else:
+            cand = (weight, tuple(chosen))
+            if best[0] is None or cand < best[0]:
+                best[0] = cand
+            return
+        if i == m or (best[0] is not None and weight > best[0][0]):
+            return
+        rest = suf[i]
+        for want, terms in reach_terms:
+            reach = 0
+            for a, b in terms:
+                reach |= cov[a] & rest[b]
+            if want & ~reach:
+                return
+        c = cross[i]
+        chosen.append(i)
+        grown = [cov[0]] + [cov[j] | (cov[j - 1] & c) for j in levels]
+        walk(i + 1, weight + weights[i], chosen, grown)
+        chosen.pop()
+        walk(i + 1, weight, chosen, cov)
+
+    walk(0, 0, [], [need[0]] + [0] * top)
+    return best[0]

@@ -20,7 +20,7 @@ from streamaug.cli import main as cli_main
 from streamaug.cli import parse_stream, write_stream
 from streamaug.cycle_aug_stream import UnweightedArcStore, WeightedAugState
 from streamaug.errors import Infeasible
-from streamaug.graph_core import Arc, WeightedEdge, cuts_of_size_at_most
+from streamaug.graph_core import Arc, WeightedEdge
 from streamaug.oracles import (
     AugmentationInstance,
     exact_directed_cycle_cover,
@@ -339,7 +339,7 @@ def test_c09_cut_structure_survives_folding_and_unfolding():
     rng = random.Random(9009)
 
     def min_cut_family(edges, n):
-        sides = cuts_of_size_at_most(edges, n, 10**9)
+        sides = support.cuts_of_size_at_most(edges, n, 10**9)
         best = min(s.boundary_size for s in sides)
         return {frozenset(s.members) for s in sides if s.boundary_size == best}, best
 

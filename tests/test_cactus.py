@@ -17,7 +17,6 @@ from streamaug import (
     cactus_build,
     cactus_unfold,
     cactus_validate,
-    cuts_of_size_at_most,
     exact_kcap,
 )
 from streamaug.errors import StreamFormatError
@@ -31,7 +30,7 @@ FIGURE_EIGHT = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
 
 def _min_cut_family(edges, n):
     """All min-cut sides of a connected multigraph, as frozensets."""
-    sides = cuts_of_size_at_most(edges, n, 10**9)
+    sides = support.cuts_of_size_at_most(edges, n, 10**9)
     best = min(s.boundary_size for s in sides)
     return {frozenset(s.members) for s in sides if s.boundary_size == best}, best
 

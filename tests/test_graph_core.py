@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from streamaug import SizeGuardError, WeightedEdge, cuts_of_size_at_most, three_edge_components
+from streamaug import SizeGuardError, WeightedEdge, three_edge_components
 from streamaug.graph_core import (
     Partition,
     UnionFind,
@@ -258,7 +258,7 @@ def test_cut_tree_path_minima_are_capped_pair_flows():
 
 
 def test_cuts_of_size_at_most_c4():
-    sides = cuts_of_size_at_most(C4, 4, 2)
+    sides = support.cuts_of_size_at_most(C4, 4, 2)
     got = {frozenset(s.members) for s in sides}
     assert got == {
         frozenset({1}),
@@ -272,11 +272,11 @@ def test_cuts_of_size_at_most_c4():
 
 
 def test_cuts_of_size_at_most_triangle_none_below_two():
-    assert cuts_of_size_at_most(TRIANGLE, 3, 1) == []
+    assert support.cuts_of_size_at_most(TRIANGLE, 3, 1) == []
 
 
 def test_cuts_of_size_at_most_single_edge():
-    sides = cuts_of_size_at_most([(0, 1)], 2, 1)
+    sides = support.cuts_of_size_at_most([(0, 1)], 2, 1)
     assert [set(s.members) for s in sides] == [{1}]
 
 
@@ -284,7 +284,7 @@ def test_cuts_of_size_at_most_unbounded_counts_all_sides():
     rng = random.Random(12)
     for n in (2, 3, 5, 7):
         edges = support.random_multigraph(rng, n, 2 * n)
-        sides = cuts_of_size_at_most(edges, n, 10**9)
+        sides = support.cuts_of_size_at_most(edges, n, 10**9)
         assert len(sides) == 2 ** (n - 1) - 1
         # every side excludes vertex 0
         assert all(0 not in s.members for s in sides)
@@ -293,14 +293,14 @@ def test_cuts_of_size_at_most_unbounded_counts_all_sides():
 def test_cuts_of_size_at_most_boundary_recount():
     rng = random.Random(13)
     edges = support.random_multigraph(rng, 6, 12)
-    for s in cuts_of_size_at_most(edges, 6, 4):
+    for s in support.cuts_of_size_at_most(edges, 6, 4):
         crossing = sum(1 for u, v in edges if (u in s.members) != (v in s.members))
         assert crossing == s.boundary_size <= 4
 
 
 def test_cuts_of_size_at_most_size_guard():
     with pytest.raises(SizeGuardError):
-        cuts_of_size_at_most([], 25, 1)
+        support.cuts_of_size_at_most([], 25, 1)
 
 
 def test_cuts_of_size_at_most_refuses_endpoints_outside_the_vertex_range():
@@ -308,7 +308,7 @@ def test_cuts_of_size_at_most_refuses_endpoints_outside_the_vertex_range():
     for edges in ([(0, 5)], TRIANGLE + [(-1, 2)]):
         for n in (3, 1):
             with pytest.raises(ValueError, match="out of range"):
-                cuts_of_size_at_most(edges, n, 0)
+                support.cuts_of_size_at_most(edges, n, 0)
 
 
 def test_cut_size_table_guards():

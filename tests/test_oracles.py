@@ -20,8 +20,6 @@ from streamaug import (
     exact_sndp,
     validate_certificate,
 )
-from streamaug.graph_core import cuts_of_size_at_most
-from streamaug.oracles import _cover_branch_and_bound
 
 C4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
@@ -398,7 +396,7 @@ def _per_side_exact_sndp(n, edges, pairs):
 
 def _per_side_exact_kcap(instance):
     """Test-only copy of exact_kcap building link masks side by side."""
-    sides = cuts_of_size_at_most(instance.base, instance.n, instance.k - 1)
+    sides = support.cuts_of_size_at_most(instance.base, instance.n, instance.k - 1)
     if not sides:
         return [], 0
     masks = []
@@ -408,7 +406,7 @@ def _per_side_exact_kcap(instance):
             if (e.u in side.members) != (e.v in side.members):
                 mask |= 1 << idx
         masks.append(mask)
-    hit = _cover_branch_and_bound(
+    hit = support.reference_cover_branch_and_bound(
         masks, [e.w for e in instance.links], (1 << len(sides)) - 1
     )
     if hit is None:

@@ -1,8 +1,10 @@
 """Side sets as Python ints against the numpy side tables.
 
 ``support.reference_*`` are numpy copies of the cut table, the side
-membership matrix and the reverse-phase SNDP loop.  Every function built on
-them whose signature is fixed is held to them here, on seeded multigraphs at
+membership matrix and the reverse-phase SNDP loop; the reference solvers
+search with support's copies of the branch-and-bound searches as they stood
+before affordable-edge pruning.  Every function built on them whose
+signature is fixed is held to them here, on seeded multigraphs at
 n = 1..16: empty graphs, self-loops, parallel edges, tuple and WeightedEdge
 edges, and caps from -1 to past the edge count.
 """
@@ -17,11 +19,9 @@ import pytest
 import support
 from streamaug.cactus import cactus_build
 from streamaug.errors import Infeasible
-from streamaug.graph_core import WeightedEdge, cuts_of_size_at_most, is_connected, side_bits
+from streamaug.graph_core import WeightedEdge, is_connected, side_bits
 from streamaug.oracles import (
     AugmentationInstance,
-    _cover_branch_and_bound,
-    _multicover_branch_and_bound,
     _requirement_pairs,
     exact_kcap,
     exact_sndp,
@@ -83,7 +83,7 @@ def test_cut_readers_match_the_numpy_table():
             cert = rng.sample(edges, rng.randint(0, m))
             stranger = cert + [(0, n - 1)]
             for c in _caps(rng, m):
-                got = [(s.members, s.boundary_size) for s in cuts_of_size_at_most(edges, n, c)]
+                got = [(s.members, s.boundary_size) for s in support.cuts_of_size_at_most(edges, n, c)]
                 assert got == support.reference_cuts_of_size_at_most(edges, n, c), (n, c, edges)
                 for sub in (cert, stranger):
                     want = support.reference_validate_certificate(edges, sub, n, c)
@@ -97,7 +97,7 @@ def _reference_kcap(instance):
         return [], 0
     bits = support.reference_side_bits(instance.n)
     masks = [(bits[e.u] ^ bits[e.v]) & full for e in instance.links]
-    hit = _cover_branch_and_bound(masks, [e.w for e in instance.links], full)
+    hit = support.reference_cover_branch_and_bound(masks, [e.w for e in instance.links], full)
     if hit is None:
         raise Infeasible("uncovered")
     return [instance.links[i] for i in hit[1]], hit[0]
@@ -146,7 +146,7 @@ def _reference_sndp(n, edges, requirements):
         raise Infeasible("demand exceeds the edges")
     bits = support.reference_side_bits(n)
     cross = [bits[e.u] ^ bits[e.v] for e in edges]
-    hit = _multicover_branch_and_bound(cross, [e.w for e in edges], need)
+    hit = support.reference_multicover_branch_and_bound(cross, [e.w for e in edges], need)
     if hit is None:
         raise Infeasible("unmet")
     return [edges[i] for i in hit[1]], hit[0]
@@ -180,7 +180,9 @@ def test_design_solvers_match_the_numpy_demand_levels():
                 got = ("ok", (got[1].edges, got[1].weight, got[1].phases))
             elif got[0] == "Infeasible":
                 got = ("ok", None)
-            want = _outcome(support.reference_solve_sndp, layers, reqs, _cover_branch_and_bound)
+            want = _outcome(
+                support.reference_solve_sndp, layers, reqs, support.reference_cover_branch_and_bound
+            )
             assert got == want, (n, layers, reqs.items())
             edges = [e for layer in layers for e in layer][: rng.randint(0, 12)]
             got = _outcome(exact_sndp, n, edges, reqs)

@@ -9,7 +9,6 @@ import pytest
 
 from streamaug.errors import Infeasible, SizeGuardError, StreamFormatError
 from streamaug.graph_core import WeightedEdge
-from streamaug.oracles import _cover_branch_and_bound
 from streamaug.sndp_coreset import Cascade, Requirements, SndpSolution, solve_sndp
 from streamaug.spanner_stream import SpannerState
 
@@ -399,7 +398,9 @@ def _per_side_solve_sndp(layers, requirements):
                 if crosses(e, sides[idx]):
                     m |= 1 << pos
             masks.append(m)
-        hit = _cover_branch_and_bound(masks, [e.w for e in avail], (1 << len(targets)) - 1)
+        hit = support.reference_cover_branch_and_bound(
+            masks, [e.w for e in avail], (1 << len(targets)) - 1
+        )
         if hit is None:
             raise Infeasible(f"phase {phase} cannot cover all deficient cuts")
         grabbed = tuple(avail[i] for i in hit[1])
