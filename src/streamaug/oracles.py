@@ -41,6 +41,18 @@ exists the budget is infinite and every undecided edge is affordable; a
 branch already heavier than the incumbent has a negative budget and no
 affordable edge, so it is cut.  A node finds the affordable edges' state by
 one bisection into a table built once per call (``_affordable``).
+
+Two dominance rules cut nodes with the same result.  A zero-weight edge gets
+no exclude branch: past the reach test the budget is at least 0, so the
+edge is included, and a cover T found without it has T plus the edge, or a
+covering prefix of that, in the include branch, weighing no more with a
+lex-smaller index tuple.  Before its search, the set cover drops each link j
+of positive weight whose mask lies inside the mask of a link i with
+``(w_i, i) < (w_j, j)``: in a cover holding j, i in place of j, or no j when
+i is already chosen, gives a lighter or lex-smaller cover.  A zero-weight
+link is never dropped, as a cover without it can tie and be lex-larger.
+The multicover drops no edge: i may be one of the two crossings that some
+side needs, with j the other.  Kept links keep their index order.
 """
 
 from __future__ import annotations
@@ -123,8 +135,20 @@ def _cover_branch_and_bound(masks: list[int], weights: list[int], full: int):
     covering prefix weighs at least as much and its index tuple is
     lexicographically larger, so nothing better lies below.  Otherwise it
     goes on only while the affordable edges (module docstring) can cover what
-    is left; their state is the OR of their masks.
+    is left; their state is the OR of their masks.  Dominated links are
+    dropped first, scanning in (weight, index) order against the masks kept.
     """
+    kept: list[int] = []
+    seen: list[int] = []
+    for j in sorted(range(len(masks)), key=weights.__getitem__):
+        for c in seen if weights[j] else ():
+            if masks[j] | c == c:
+                break
+        else:
+            seen.append(masks[j])
+            kept.append(j)
+    kept.sort()
+    masks, weights = [masks[j] for j in kept], [weights[j] for j in kept]
     tables = _affordable(weights, lambda covered, i: covered | masks[i], 0)
     best: list = [None]
 
@@ -140,10 +164,11 @@ def _cover_branch_and_bound(masks: list[int], weights: list[int], full: int):
         if covered | rest != full:
             return
         if weights[i] <= budget:
-            chosen.append(i)
+            chosen.append(kept[i])
             walk(i + 1, covered | masks[i], weight + weights[i], chosen)
             chosen.pop()
-        walk(i + 1, covered, weight, chosen)
+        if weights[i]:
+            walk(i + 1, covered, weight, chosen)
 
     walk(0, 0, 0, [])
     return best[0]
@@ -280,7 +305,8 @@ def _multicover_branch_and_bound(cross: list[int], weights: list[int], need: lis
             chosen.append(i)
             walk(i + 1, weight + weights[i], chosen, grow(cov, cross[i]))
             chosen.pop()
-        walk(i + 1, weight, chosen, cov)
+        if weights[i]:
+            walk(i + 1, weight, chosen, cov)
 
     walk(0, 0, [], empty)
     return best[0]

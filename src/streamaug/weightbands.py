@@ -1,8 +1,8 @@
 """Exact geometric weight banding.
 
-Band boundaries are powers of a rational base, kept as Fractions so that
-integer weights near a boundary are always classified exactly; a float
-logarithm is at most a starting guess that exact powers then correct.
+Band boundaries are powers p^j/q^j of a rational base p/q, kept as the two
+ints so that integer weights near a boundary are always classified exactly;
+a float logarithm is at most a starting guess that exact powers then correct.
 """
 
 from __future__ import annotations
@@ -40,15 +40,16 @@ class GeometricBands:
         if base <= 1:
             raise ValueError(f"band base must exceed 1, got {base}")
         self.base = base
-        self._bounds: list[Fraction] = [Fraction(1)]
         # For integer weights, w >= base^j iff w >= ceil(base^j), so the
         # hot path can bisect plain ints.
         self._floors: list[int] = [1]
 
     def _grow(self, w: int) -> None:
+        p, q = self.base.numerator, self.base.denominator
+        num, den = p ** (len(self._floors) - 1), q ** (len(self._floors) - 1)
         while self._floors[-1] <= w:
-            self._bounds.append(self._bounds[-1] * self.base)
-            self._floors.append(math.ceil(self._bounds[-1]))
+            num, den = num * p, den * q
+            self._floors.append(-(-num // den))
 
     def index(self, w: int) -> int:
         if w < 1:
@@ -61,10 +62,7 @@ class GeometricBands:
         """Inclusive lower boundary base^j of band j."""
         if j < 0:
             raise ValueError(f"band index must be >= 0, got {j}")
-        while len(self._bounds) <= j:
-            self._bounds.append(self._bounds[-1] * self.base)
-            self._floors.append(math.ceil(self._bounds[-1]))
-        return self._bounds[j]
+        return self.base**j
 
     def contains(self, j: int, w: int) -> bool:
         return self.lower(j) <= w < self.lower(j + 1)

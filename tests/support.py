@@ -13,6 +13,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from bisect import bisect_right
+from math import inf
 
 from dataclasses import dataclass
 
@@ -656,4 +658,114 @@ def reference_multicover_branch_and_bound(cross: list[int], weights: list[int], 
         walk(i + 1, weight, chosen, cov)
 
     walk(0, 0, [], [need[0]] + [0] * top)
+    return best[0]
+
+
+# ---------------------------------------------------------------------------
+# the branch-and-bound searches as they pruned to the affordable edges, before
+# zero-weight edges lost their exclude branch and the cover dropped dominated
+# links
+
+
+def _affordable(weights: list[int], fold, empty) -> list[tuple[list[int], list]]:
+    """Per index i, the weights of edges i..m-1 in ascending order and their prefix states.
+
+    ``tables[i] = (ws, states)``, where ``states[k]`` folds ``empty`` over
+    the k lightest of edges i..m-1 with ``fold(state, index)``, so
+    ``states[bisect_right(ws, budget)]`` is the state of the undecided edges
+    that weigh at most ``budget``.  ``fold`` must not depend on the order of
+    the edges folded.  Built right to left: edge i enters the table of i + 1
+    at its rank, the states below the rank are shared, and the ones above
+    are folded once more.
+    """
+    tables = [([], [empty])]
+    for i in range(len(weights) - 1, -1, -1):
+        ws, states = tables[-1]
+        r = bisect_right(ws, weights[i])
+        tables.append(
+            (ws[:r] + [weights[i]] + ws[r:], states[: r + 1] + [fold(st, i) for st in states[r:]])
+        )
+    tables.reverse()
+    return tables
+
+
+def affordable_cover_branch_and_bound(masks: list[int], weights: list[int], full: int):
+    """Min-weight cover of the bits in ``full``; ties to the lex-least index set.
+
+    A branch stops as soon as it covers everything: any strict superset of a
+    covering prefix weighs at least as much and its index tuple is
+    lexicographically larger, so nothing better lies below.  Otherwise it
+    goes on only while the affordable edges (``streamaug.oracles`` docstring)
+    can cover what is left; their state is the OR of their masks.
+    """
+    tables = _affordable(weights, lambda covered, i: covered | masks[i], 0)
+    best: list = [None]
+
+    def walk(i: int, covered: int, weight: int, chosen: list[int]) -> None:
+        if covered == full:
+            cand = (weight, tuple(chosen))
+            if best[0] is None or cand < best[0]:
+                best[0] = cand
+            return
+        ws, states = tables[i]
+        budget = inf if best[0] is None else best[0][0] - weight
+        rest = states[bisect_right(ws, budget)]
+        if covered | rest != full:
+            return
+        if weights[i] <= budget:
+            chosen.append(i)
+            walk(i + 1, covered | masks[i], weight + weights[i], chosen)
+            chosen.pop()
+        walk(i + 1, covered, weight, chosen)
+
+    walk(0, 0, 0, [])
+    return best[0]
+
+
+def affordable_multicover_branch_and_bound(cross: list[int], weights: list[int], need: list[int]):
+    """Min-weight multicover over side bitsets; ties to the lex-least index set.
+
+    ``cross[i]`` holds the sides edge i crosses and ``need[j-1]`` the sides
+    to be crossed at least j times.  The affordable edges' state
+    (``streamaug.oracles`` docstring) is their bit-sliced levels, laid out as
+    ``cov``; level 0 of both stands for every side with a demand.
+    """
+    top = len(need)
+    levels = range(1, top + 1)
+
+    def grow(counts: list[int], c: int) -> list[int]:
+        return [counts[0]] + [counts[j] | (counts[j - 1] & c) for j in levels]
+
+    empty = [need[0]] + [0] * top
+    tables = _affordable(weights, lambda counts, i: grow(counts, cross[i]), empty)
+    # a side reaches j crossings when a chosen and j - a affordable edges can
+    reach_terms = [(need[j - 1], [(a, j - a) for a in range(j + 1)]) for j in levels]
+    met = list(zip(need, levels))
+    best: list = [None]
+
+    def walk(i: int, weight: int, chosen: list[int], cov: list[int]) -> None:
+        for want, j in met:
+            if want & ~cov[j]:
+                break
+        else:
+            cand = (weight, tuple(chosen))
+            if best[0] is None or cand < best[0]:
+                best[0] = cand
+            return
+        ws, states = tables[i]
+        budget = inf if best[0] is None else best[0][0] - weight
+        rest = states[bisect_right(ws, budget)]
+        for want, terms in reach_terms:
+            reach = 0
+            for a, b in terms:
+                reach |= cov[a] & rest[b]
+            if want & ~reach:
+                return
+        if weights[i] <= budget:
+            chosen.append(i)
+            walk(i + 1, weight + weights[i], chosen, grow(cov, cross[i]))
+            chosen.pop()
+        walk(i + 1, weight, chosen, cov)
+
+    walk(0, 0, [], empty)
     return best[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -52,6 +53,21 @@ def test_band_index_matches_exact_rule_across_magnitudes():
             weights += [max(1, t - 1), t, t + 1]
         for w in weights:
             assert bands.index(w) == exact_index(base, w), (base, w)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [Fraction(11, 10), Fraction(7, 6), Fraction(19, 18), Fraction(3, 2), Fraction(2), Fraction(28)],
+)
+def test_integer_floors_are_the_ceilings_of_the_exact_powers(base):
+    bands = GeometricBands(base)
+    # grown in steps, so each growth resumes from the powers already reached
+    for w in (1, 7, 10**6, 10**18):
+        bands.index(w)
+    floors = bands._floors
+    assert floors[-2] <= 10**18 < floors[-1]
+    assert floors == [math.ceil(base**j) for j in range(len(floors))]
+    assert all(bands.lower(j) == base**j for j in range(len(floors)))
 
 
 def test_band_lower_bounds_are_monotone():
