@@ -6,7 +6,6 @@ from .cycle_aug_stream import UnweightedArcStore, WeightedAugState
 from .errors import Infeasible, SizeGuardError, StreamFormatError
 from .graph_core import (
     Arc,
-    Partition,
     UnionFind,
     WeightedEdge,
     edge_connectivity_at_least,
@@ -40,7 +39,6 @@ __all__ = [
     "ForestStack",
     "GeometricBands",
     "Infeasible",
-    "Partition",
     "PipelineReport",
     "ReplayableStream",
     "Requirements",

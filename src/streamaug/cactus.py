@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SizeGuardError, StreamFormatError
+from .errors import SizeGuardError, StreamFormatError, int_fields, records
 from .graph_core import (
     WeightedEdge,
     _bit_positions,
@@ -304,11 +304,7 @@ def parse_cactus(text: str) -> CactusGraph:
     orig = None
     edges: list[tuple[int, int]] = []
     phi_map: dict[int, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for line_no, raw, fields in records(text):
         if size is None:
             if fields[0] != "cactus":
                 raise StreamFormatError(line_no, f"expected cactus header, got {fields[0]!r}")
@@ -324,18 +320,12 @@ def parse_cactus(text: str) -> CactusGraph:
         if fields[0] == "C":
             if len(fields) != 3:
                 raise StreamFormatError(line_no, "cactus edge needs two endpoints")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError as exc:
-                raise StreamFormatError(line_no, f"bad cactus edge: {raw!r}") from exc
+            u, v = int_fields(line_no, raw, fields[1:], "bad cactus edge")
             edges.append((u, v))
         elif fields[0] == "P":
             if len(fields) != 3:
                 raise StreamFormatError(line_no, "phi entry needs two values")
-            try:
-                o, node = int(fields[1]), int(fields[2])
-            except ValueError as exc:
-                raise StreamFormatError(line_no, f"bad phi entry: {raw!r}") from exc
+            o, node = int_fields(line_no, raw, fields[1:], "bad phi entry")
             if o in phi_map:
                 raise StreamFormatError(line_no, f"duplicate phi entry for vertex {o}")
             phi_map[o] = node

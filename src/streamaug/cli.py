@@ -26,9 +26,9 @@ import time
 from dataclasses import dataclass
 
 from .cactus import parse_cactus
-from .errors import Infeasible, SizeGuardError, StreamFormatError
+from .errors import Infeasible, SizeGuardError, StreamFormatError, records
 from .graph_core import WeightedEdge
-from .oracles import AugmentationInstance, exact_kcap, exact_sndp
+from .oracles import SNDP_MAX_EDGES, AugmentationInstance, exact_kcap, exact_sndp
 from .pipelines import (
     PipelineReport,
     ReplayableStream,
@@ -65,11 +65,7 @@ def parse_stream(text: str) -> ParsedStream:
     k = None
     events: list[StreamEvent] = []
     arrival = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for line_no, raw, fields in records(text):
         if n is None:
             if fields[0] != "header":
                 raise StreamFormatError(line_no, f"expected header line, got {fields[0]!r}")
@@ -260,7 +256,7 @@ def _sndp(args, parsed: ParsedStream, params: dict) -> PipelineReport:
     except Infeasible:
         return PipelineReport([], 0, peaks, False)
     oracle_weight = None
-    if args.with_oracle:
+    if args.with_oracle and len(parsed.events) <= SNDP_MAX_EDGES:
         try:
             _, oracle_weight = exact_sndp(parsed.n, parsed.edges(), reqs)
         except Infeasible:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 
-from .graph_core import Arc, Partition, WeightedEdge
+from .graph_core import Arc, WeightedEdge
 from .graph_core import three_edge_components  # noqa: F401  (benchmark/spans.py wraps it here)
 from .oracles import exact_directed_cycle_cover
 from .weightbands import GeometricBands, check_epsilon
@@ -196,12 +196,12 @@ class WeightedAugState:
     def coarse_class_of(self, w: int) -> int:
         return -1 if w == 0 else self._coarse.index(w)
 
-    def partition(self, k: int) -> Partition:
-        """3-edge-components of cycle + zero links + kept classes k, k-2, ...
+    def components(self, k: int) -> list[int]:
+        """A copy of ``comp`` for cycle + zero links + kept classes k, k-2, ...
 
         The zero class joins both parity chains, so it always participates.
         """
-        return Partition(self._state_at(k)[1])
+        return list(self._state_at(k)[1])
 
     def _state_at(self, k: int) -> tuple[list[int], list[int]]:
         """State of the largest screened class <= k of k's parity, else the zero class."""

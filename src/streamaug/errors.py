@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the record reader of its text formats."""
 
 
 class Infeasible(Exception):
@@ -16,3 +16,19 @@ class StreamFormatError(Exception):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
         self.message = message
+
+
+def records(text: str):
+    """Yield (line_no, raw, fields) for each line that is neither blank nor a # comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields and fields[0][0] != "#":
+            yield line_no, raw, fields
+
+
+def int_fields(line_no: int, raw: str, fields, what: str) -> list[int]:
+    """The fields as ints, or a StreamFormatError saying ``what`` with the raw line."""
+    try:
+        return [int(f) for f in fields]
+    except ValueError as exc:
+        raise StreamFormatError(line_no, f"{what}: {raw!r}") from exc

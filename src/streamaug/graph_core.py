@@ -1,4 +1,4 @@
-"""Multigraph primitives: edges, partitions, cut sides, connectivity tests.
+"""Multigraph primitives: edges, union-find, cut sides, connectivity tests.
 
 Vertices are integers 0..n-1 throughout.  Graphs are undirected multigraphs
 given as edge lists; parallel edges are meaningful and kept distinct by
@@ -61,7 +61,6 @@ class UnionFind:
     def __init__(self, n: int):
         self._parent = list(range(n))
         self._size = [1] * n
-        self.n = n
 
     def find(self, x: int) -> int:
         root = x
@@ -88,80 +87,7 @@ class UnionFind:
         dup = UnionFind.__new__(UnionFind)
         dup._parent = self._parent[:]
         dup._size = self._size[:]
-        dup.n = self.n
         return dup
-
-    def labels(self) -> list[int]:
-        return [self.find(v) for v in range(self.n)]
-
-
-class Partition:
-    """Vertex partition with canonical class ids.
-
-    Class ids are assigned by first appearance when scanning vertices in
-    increasing order, so equal partitions compare equal regardless of how
-    the raw labels were produced.
-    """
-
-    def __init__(self, labels):
-        remap: dict[int, int] = {}
-        canon = []
-        for lab in labels:
-            if lab not in remap:
-                remap[lab] = len(remap)
-            canon.append(remap[lab])
-        self._labels = tuple(canon)
-        members: list[list[int]] = [[] for _ in range(len(remap))]
-        for v, lab in enumerate(self._labels):
-            members[lab].append(v)
-        self._classes = tuple(frozenset(g) for g in members)
-        # vertices were appended in increasing order
-        self._reps = tuple(g[0] for g in members)
-
-    @classmethod
-    def from_union_find(cls, uf: UnionFind) -> "Partition":
-        return cls(uf.labels())
-
-    @property
-    def n(self) -> int:
-        return len(self._labels)
-
-    @property
-    def class_count(self) -> int:
-        return len(self._classes)
-
-    def label(self, v: int) -> int:
-        return self._labels[v]
-
-    def same(self, u: int, v: int) -> bool:
-        return self._labels[u] == self._labels[v]
-
-    def classes(self) -> tuple[frozenset[int], ...]:
-        return self._classes
-
-    def rep_of(self, v: int) -> int:
-        """Smallest vertex id in v's class."""
-        return self._reps[self._labels[v]]
-
-    def refines(self, other: "Partition") -> bool:
-        seen: dict[int, int] = {}
-        for v in range(self.n):
-            mine = self._labels[v]
-            if mine in seen:
-                if seen[mine] != other.label(v):
-                    return False
-            else:
-                seen[mine] = other.label(v)
-        return True
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self._labels == other._labels
-
-    def __hash__(self):
-        return hash(self._labels)
-
-    def __repr__(self):
-        return f"Partition({list(self._labels)})"
 
 
 def check_endpoints(edges, n: int) -> None:
@@ -172,17 +98,12 @@ def check_endpoints(edges, n: int) -> None:
             raise ValueError(f"edge endpoint out of range for n={n}: ({u}, {v})")
 
 
-def connected_components(edges, n: int) -> Partition:
+def is_connected(edges, n: int) -> bool:
+    """Whether the multigraph joins all n vertices: exactly n - 1 unions succeed."""
     edges = list(edges)
     check_endpoints(edges, n)
     uf = UnionFind(n)
-    for e in edges:
-        uf.union(*edge_ends(e))
-    return Partition.from_union_find(uf)
-
-
-def is_connected(edges, n: int) -> bool:
-    return connected_components(edges, n).class_count == 1
+    return sum(uf.union(*edge_ends(e)) for e in edges) == n - 1
 
 
 def side_bits(n: int) -> list[int]:
@@ -324,12 +245,12 @@ def edge_connectivity_at_least(edges, n: int, k: int) -> bool:
     return k <= 0 or min_cut_capped(edges, n, k) >= k
 
 
-def three_edge_components(edges, n: int) -> Partition:
-    """Vertices grouped by 3 edge-disjoint paths: the cap-3 tree's edges of value 3 join them."""
+def three_edge_components(edges, n: int) -> list[int]:
+    """Per vertex, the smallest vertex 3 edge-disjoint paths join it to, via the cap-3 tree."""
     edges = list(edges)
     check_endpoints(edges, n)
     parent, value = _cut_tree(edges, n, 3)
     label = list(range(n))
     for s in range(1, n):
         label[s] = label[parent[s]] if value[s] >= 3 else s
-    return Partition(label)
+    return label

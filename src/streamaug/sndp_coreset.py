@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Infeasible, SizeGuardError, StreamFormatError
+from .errors import Infeasible, SizeGuardError, StreamFormatError, int_fields, records
 from .graph_core import WeightedEdge, add_crossing, check_endpoints, side_bits
 from .oracles import SNDP_MAX_N, _cover_branch_and_bound, _demand_levels, _requirement_pairs
 from .spanner_stream import SpannerState, layer_epsilon
@@ -50,17 +50,10 @@ class Requirements:
     def parse(cls, text: str, n: int) -> "Requirements":
         """Read 'R s t r' lines; blank lines and # comments are skipped."""
         pairs: dict[tuple[int, int], int] = {}
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
+        for line_no, raw, fields in records(text):
             if fields[0] != "R" or len(fields) != 4:
                 raise StreamFormatError(line_no, f"expected 'R s t r', got {raw!r}")
-            try:
-                s, t, r = int(fields[1]), int(fields[2]), int(fields[3])
-            except ValueError as exc:
-                raise StreamFormatError(line_no, f"bad requirement values: {raw!r}") from exc
+            s, t, r = int_fields(line_no, raw, fields[1:], "bad requirement values")
             key = (min(s, t), max(s, t))
             if key in pairs:
                 raise StreamFormatError(line_no, f"duplicate requirement for pair {key}")

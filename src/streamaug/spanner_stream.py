@@ -48,7 +48,7 @@ import math
 from bisect import bisect_left, insort
 from fractions import Fraction
 
-from .graph_core import Partition, UnionFind, WeightedEdge
+from .graph_core import UnionFind, WeightedEdge
 from .weightbands import GeometricBands, ceil_power_index, check_epsilon
 
 # An adjacency maps node -> {other node: (key, edge)}; stored pairs are
@@ -200,9 +200,10 @@ class SpannerState:
         below = [kk for kk in self._closure if kk % 2 == parity and kk < k]
         return self._closure[max(below)] if below else self._zero_uf
 
-    def parity_prefix_partition(self, parity: int, k: int) -> Partition:
-        """Contraction the bucket-k re-certification works against."""
-        return Partition.from_union_find(self._prefix_uf(parity, k))
+    def parity_prefix_labels(self, parity: int, k: int) -> list[int]:
+        """Per vertex, the smallest vertex of its class in the parity prefix below bucket k."""
+        uf, first = self._prefix_uf(parity, k), {}
+        return [first.setdefault(uf.find(v), v) for v in range(self.n)]
 
     # -- insertion -------------------------------------------------------
 

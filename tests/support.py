@@ -121,10 +121,10 @@ def class_girth_violated(state, t: int) -> bool:
     limit = 2 * t
     for j in state.band_indices():
         k = state.bucket_of_band(j)
-        prefix = state.parity_prefix_partition(k % 2, k)
+        prefix = state.parity_prefix_labels(k % 2, k)
         adj: dict[int, list[tuple[int, int]]] = {}
         for idx, e in enumerate(state.band_edges(j)):
-            a, b = prefix.label(e.u), prefix.label(e.v)
+            a, b = prefix[e.u], prefix[e.v]
             if a == b:
                 return True
             adj.setdefault(a, []).append((b, idx))
@@ -255,6 +255,34 @@ def reference_edge_connectivity_at_least(edges, n: int, k: int) -> bool:
         return True
     cap = _flow_capacities(edges, n)
     return all(_capped_flow(cap, 0, t, k) >= k for t in range(1, n))
+
+
+def component_labels(n: int, pairs) -> list[int]:
+    """Per vertex, the smallest vertex of its component in the graph of pairs."""
+    adj: dict[int, list[int]] = {}
+    for u, v in pairs:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    label = list(range(n))
+    seen = set()
+    for s in range(n):
+        if s in seen:
+            continue
+        seen.add(s)
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            label[x] = s
+            for y in adj.get(x, ()):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return label
+
+
+def refines(fine: list[int], coarse: list[int]) -> bool:
+    """Whether each class of the label list ``fine`` lies inside one class of ``coarse``."""
+    return all(coarse[f] == coarse[v] for v, f in enumerate(fine))
 
 
 def reference_three_edge_components(edges, n: int) -> list[int]:

@@ -515,6 +515,26 @@ def test_cli_stap_skips_the_oracle_past_its_edge_guard(tmp_path, capsys):
     )
 
 
+def test_cli_sndp_skips_the_oracle_past_its_edge_guard(tmp_path, capsys):
+    # 24 edges exceed the exact design's 20-edge guard; the coreset solve
+    # itself is fine, so the report is the one without the oracle
+    n = 6
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [(u, v, 1 + 3 * i % 7) for i, (u, v) in enumerate(pairs)]
+    edges += [(u, v, 2 + i % 5) for i, (u, v) in enumerate(pairs[:9])]
+    lines = [f"header n={n}"] + [f"E {u} {v} {w}" for u, v, w in edges]
+    stream = tmp_path / "k6.txt"
+    stream.write_text("\n".join(lines) + "\n")
+    reqs = tmp_path / "reqs.txt"
+    reqs.write_text("R 0 3 2\nR 1 4 1\n")
+    assert len(edges) == 24
+    _same_report_with_and_without_oracle(
+        ["sndp", str(stream), "--k", "2", "--t", "2", "--epsilon", "0.5",
+         "--requirements", str(reqs)],
+        capsys,
+    )
+
+
 def test_cli_back_to_back_runs_match_separate_runs(capsys):
     # the parser is built once per process and must carry nothing between calls
     runs = [

@@ -263,7 +263,7 @@ def test_screening_preserves_three_edge_components():
                 edges = _ring(n) + [
                     (e.u, e.v) for e in ingested if state.coarse_class_of(e.w) == -1
                 ]
-            assert state.partition(k) == three_edge_components(edges, n)
+            assert state.components(k) == three_edge_components(edges, n)
 
 
 def test_class_state_labels_cycle_edges_and_names_components_by_smallest_vertex():
@@ -282,8 +282,7 @@ def test_class_state_labels_cycle_edges_and_names_components_by_smallest_vertex(
         held.append((u, v))
         assert state.forest_edges(0)[-1].pair == (u, v)
         assert state._state[0] == (lab, comp)
-        part = three_edge_components(held, n)
-        assert comp == [part.rep_of(x) for x in range(n)]
+        assert comp == three_edge_components(held, n)
         # every class keeps two length-n int lists and nothing else
         for pair in state._state.values():
             assert len(pair) == 2
@@ -377,7 +376,7 @@ class _ThreeEccStore:
         self.best = {}
         self.forest = {}
         self.tables = {}
-        self.parts = {}  # partitions of the current forests, dropped by each insert
+        self.parts = {}  # component labels of the current forests, dropped by each insert
         self.peak_stored = 0
 
     def coarse_class_of(self, w):
@@ -402,7 +401,7 @@ class _ThreeEccStore:
                 edges += self.forest[j]
         return edges
 
-    def partition(self, k):
+    def components(self, k):
         if k not in self.parts:
             self.parts[k] = three_edge_components(self._chain(k), self.n)
         return self.parts[k]
@@ -412,7 +411,7 @@ class _ThreeEccStore:
         for k in ks:
             kept = []
             for e in self.forest[k]:
-                if not part.same(e.u, e.v):
+                if part[e.u] != part[e.v]:
                     kept.append(e)
                     held = held + [e]
                     part = three_edge_components(held, self.n)
@@ -445,16 +444,16 @@ class _ThreeEccStore:
             if ks:
                 self._screen(ks, self._chain(ks[0] - 2))
         for k, table in self.tables.items():
-            part = self.partition(k)
+            part = self.components(k)
             self.tables[k] = {}
             for (_, fi, side), arc in table.items():
-                self._file(self.tables[k], (part.rep_of(arc.y), fi, side), arc)
+                self._file(self.tables[k], (part[arc.y], fi, side), arc)
         if link.w >= 1:
-            part = self.partition(kp - 2)
+            part = self.components(kp - 2)
             table = self.tables.setdefault(kp - 2, {})
             for x, y in ((link.u, link.v), (link.v, link.u)):
-                if not part.same(x, y):
-                    key = (part.rep_of(y), self.fine.index(link.w), "lo" if x < y else "hi")
+                if part[x] != part[y]:
+                    key = (part[y], self.fine.index(link.w), "lo" if x < y else "hi")
                     self._file(table, key, Arc(x, y, link.w, link))
         self.peak_stored = max(self.peak_stored, self.stored_count)
 
@@ -511,7 +510,7 @@ def _run_side_by_side(n, eps, links):
         if not old.trivial:
             # every class the store screens or files arcs under
             for k in {-1, *old.forest_classes(), *old.tables}:
-                assert new.partition(k) == old.partition(k)
+                assert new.components(k) == old.components(k)
         assert new.all_arcs() == old.all_arcs()
         assert _finalize_outcome(new) == _finalize_outcome(old)
     return old
@@ -565,7 +564,8 @@ def test_links_redundant_on_arrival_leave_classes_and_tables_alone(monkeypatch):
     while len(redundant) < 60:
         u, v = rng.sample(range(n), 2)
         w = rng.choice([0, 0, 1, 3, 40, 10**6, 10**12])
-        if plain.partition(plain.coarse_class_of(w)).same(u, v):
+        comp = plain.components(plain.coarse_class_of(w))
+        if comp[u] == comp[v]:
             redundant.append(WeightedEdge(u, v, w, len(warm) + len(redundant)))
     assert sum(e.w == 0 for e in redundant) >= 10
 
@@ -606,17 +606,17 @@ def test_store_matches_three_edge_components_past_sixty_four_vertices():
                 or (0 <= state.coarse_class_of(e.w) <= k and (k - state.coarse_class_of(e.w)) % 2 == 0)
             ]
             edges = _ring(n) + chain
-            part = state.partition(k)
-            assert 1 < part.class_count < n
+            part = state.components(k)
+            assert 1 < len(set(part)) < n
             assert three_edge_components(edges, n) == part
             # 3-edge-connectivity is an equivalence, so checking every
             # vertex against its class representative and every pair of
             # representatives decides every vertex pair
             for v in range(n):
-                rep = part.rep_of(v)
+                rep = part[v]
                 if rep != v:
                     assert support.nx_pair_flow(edges, n, rep, v) >= 3
-            reps = sorted({part.rep_of(v) for v in range(n)})
+            reps = sorted(set(part))
             for i, a in enumerate(reps):
                 for b in reps[i + 1 :]:
                     assert support.nx_pair_flow(edges, n, a, b) < 3
@@ -628,7 +628,7 @@ def test_three_edge_components_of_a_500_ring_with_chords():
     chords = [tuple(rng.sample(range(n), 2)) for _ in range(500)]
     edges = _ring(n) + chords
     part = three_edge_components(edges, n)
-    assert 1 < part.class_count < n
+    assert 1 < len(set(part)) < n
     for _ in range(40):
         u, v = rng.sample(range(n), 2)
-        assert part.same(u, v) == (support.nx_pair_flow(edges, n, u, v) >= 3), (u, v)
+        assert (part[u] == part[v]) == (support.nx_pair_flow(edges, n, u, v) >= 3), (u, v)

@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from streamaug import SizeGuardError, WeightedEdge, three_edge_components
+import streamaug
+from streamaug import SizeGuardError, SpannerState, WeightedEdge, three_edge_components
 from streamaug.graph_core import (
-    Partition,
     UnionFind,
     _cut_tree,
-    connected_components,
     cut_size_table,
     edge_connectivity_at_least,
     edge_ends,
@@ -30,45 +29,67 @@ TRIANGLE = [(0, 1), (1, 2), (2, 0)]
 
 
 def test_connected_components_triangle_is_one_class():
-    p = connected_components(TRIANGLE, 3)
-    assert p.classes() == (frozenset({0, 1, 2}),)
+    assert is_connected(TRIANGLE, 3)
 
 
 def test_connected_components_empty_graph_is_singletons():
-    p = connected_components([], 3)
-    assert p.classes() == (frozenset({0}), frozenset({1}), frozenset({2}))
+    assert not is_connected([], 2)
+    assert not is_connected([], 3)
 
 
 def test_connected_components_path_plus_isolated():
-    p = connected_components([(0, 1), (1, 2)], 4)
-    assert set(p.classes()) == {frozenset({0, 1, 2}), frozenset({3})}
-    assert p.rep_of(2) == 0
-    assert p.rep_of(3) == 3
+    assert not is_connected([(0, 1), (1, 2)], 4)
+    assert is_connected([(0, 1), (1, 2), (3, 1)], 4)
 
 
 def test_connected_components_accepts_weighted_edges():
     edges = [WeightedEdge(0, 1, 7, 0), WeightedEdge(1, 2, 7, 1)]
-    assert connected_components(edges, 3).class_count == 1
+    assert is_connected(edges, 3)
 
 
 def test_connected_components_rejects_out_of_range():
     with pytest.raises(ValueError):
-        connected_components([(0, 5)], 3)
+        is_connected([(0, 5)], 3)
+
+
+def test_is_connected_on_zero_and_one_vertex():
+    # no vertex is no connected graph; one vertex is, self-loops or not
+    assert not is_connected([], 0)
+    assert is_connected([], 1)
+    assert is_connected([(0, 0), (0, 0)], 1)
+    with pytest.raises(ValueError):
+        is_connected([(0, 1)], 1)
+
+
+def test_is_connected_matches_the_component_labels():
+    rng = random.Random(1225)
+    seen = {"loops": 0, "parallel": 0, "weighted": 0, "split": 0, "joined": 0}
+    for n in range(13):
+        for _ in range(30):
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+            if edges and rng.random() < 0.3:
+                edges.extend(rng.sample(edges, rng.randint(1, len(edges))))
+            want = len(set(support.component_labels(n, edges))) == 1
+            seen["loops"] += any(u == v for u, v in edges)
+            seen["parallel"] += len(set(map(frozenset, edges))) < len(edges)
+            if rng.random() < 0.5:
+                edges = [WeightedEdge(u, v, rng.randint(0, 9), i) for i, (u, v) in enumerate(edges)]
+                seen["weighted"] += 1
+            seen["split" if not want else "joined"] += 1
+            assert is_connected(edges, n) == want, (n, edges)
+    assert all(seen.values()), seen
 
 
 def test_three_edge_components_cycle_is_singletons():
-    p = three_edge_components(C4, 4)
-    assert p.class_count == 4
+    assert three_edge_components(C4, 4) == [0, 1, 2, 3]
 
 
 def test_three_edge_components_k4_is_one_class():
-    p = three_edge_components(K4, 4)
-    assert p.class_count == 1
+    assert three_edge_components(K4, 4) == [0, 0, 0, 0]
 
 
 def test_three_edge_components_cycle_with_chords():
-    p = three_edge_components(C4 + [(0, 2), (1, 3)], 4)
-    assert p.class_count == 1
+    assert three_edge_components(C4 + [(0, 2), (1, 3)], 4) == [0, 0, 0, 0]
 
 
 def test_three_edge_components_agrees_with_pairwise_flow():
@@ -79,7 +100,7 @@ def test_three_edge_components_agrees_with_pairwise_flow():
         p = three_edge_components(edges, n)
         for u, v in itertools.combinations(range(n), 2):
             flow = support.nx_pair_flow(edges, n, u, v)
-            assert p.same(u, v) == (flow >= 3), (trial, edges, u, v, flow)
+            assert (p[u] == p[v]) == (flow >= 3), (trial, edges, u, v, flow)
 
 
 def test_three_edge_components_unchanged_by_an_isolated_vertex():
@@ -90,8 +111,7 @@ def test_three_edge_components_unchanged_by_an_isolated_vertex():
         edges = support.random_multigraph(rng, 18, 30)
         small = three_edge_components(edges, 18)
         large = three_edge_components(edges, 19)
-        for u, v in itertools.combinations(range(18), 2):
-            assert small.same(u, v) == large.same(u, v)
+        assert large == small + [18]
 
 
 def test_is_k_edge_connected_cycle():
@@ -146,7 +166,7 @@ def _table_three_ecc(edges, n):
     """Vertices grouped by the sides of size at most 2 that hold them."""
     # bit 0 is the empty side, which separates no vertices
     small = support.reference_pack(support.reference_cut_size_table(edges, n) <= 2)
-    return Partition(side_classes(small, n))
+    return side_classes(small, n)
 
 
 def _route_graphs(rng, n):
@@ -184,7 +204,7 @@ def test_connectivity_routes_match_the_cut_table():
                 assert got == _table_at_least(edges, n, k), (n, k, edges)
             part = three_edge_components(edges, n)
             assert part == _table_three_ecc(edges, n), (n, edges)
-            seen["classes"] += 1 < part.class_count < n
+            seen["classes"] += 1 < len(set(part)) < n
     assert all(seen.values()), seen
 
 
@@ -223,8 +243,8 @@ def test_connectivity_matches_the_flow_route_copies():
                 want = support.reference_edge_connectivity_at_least(edges, n, k)
                 assert edge_connectivity_at_least(edges, n, k) == want, (n, k, edges)
             part = three_edge_components(edges, n)
-            assert part == Partition(support.reference_three_edge_components(edges, n)), (n, edges)
-            seen["classes"] += 1 < part.class_count < n
+            assert part == support.reference_three_edge_components(edges, n), (n, edges)
+            seen["classes"] += 1 < len(set(part)) < n
     assert all(seen.values()), seen
 
 
@@ -336,15 +356,8 @@ def test_partition_refinement_under_edge_growth():
         n = rng.randint(3, 12)
         b = support.random_multigraph(rng, n, 2 * n)
         a = b[: rng.randrange(len(b) + 1)]
-        assert connected_components(a, n).refines(connected_components(b, n))
-        assert three_edge_components(a, n).refines(three_edge_components(b, n))
-
-
-def test_partition_labels_are_canonical():
-    p = connected_components([(2, 3), (0, 1)], 4)
-    q = connected_components([(0, 1), (2, 3)], 4)
-    assert p == q
-    assert p.label(0) == q.label(0)
+        assert is_connected(b, n) or not is_connected(a, n)
+        assert support.refines(three_edge_components(a, n), three_edge_components(b, n))
 
 
 def test_union_find_copy_is_independent():
@@ -358,12 +371,11 @@ def test_union_find_copy_is_independent():
 
 
 def test_partition_from_union_find_reps_are_minima():
-    uf = UnionFind(5)
-    uf.union(4, 2)
-    uf.union(2, 3)
-    p = Partition.from_union_find(uf)
-    assert p.rep_of(4) == 2
-    assert p.rep_of(0) == 0
+    # the zero forest is a union-find whose roots need not be the minima
+    state = SpannerState(5, 2, 1)
+    state.insert(WeightedEdge(4, 2, 0, 0))
+    state.insert(WeightedEdge(2, 3, 0, 1))
+    assert state.parity_prefix_labels(0, 0) == [0, 1, 2, 2, 2]
     assert is_connected([(0, 1), (1, 2)], 3)
     assert not is_connected([(0, 1)], 3)
 
@@ -424,3 +436,8 @@ def test_side_classes_match_the_bit_walk_signatures(case):
     n, masks = case
     sides = sum(1 << mask for mask in set(masks))
     assert side_classes(sides, n) == _bit_walk_classes(masks, n)
+
+
+def test_every_public_name_resolves():
+    for name in streamaug.__all__:
+        assert getattr(streamaug, name, None) is not None, name

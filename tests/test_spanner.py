@@ -9,7 +9,6 @@ import pytest
 
 import support
 from streamaug import SpannerState, WeightedEdge
-from streamaug.graph_core import Partition, UnionFind
 from streamaug.weightbands import GeometricBands, ceil_power_index
 
 HALF = Fraction(1, 2)
@@ -240,9 +239,9 @@ def test_no_stored_edge_is_a_prefix_self_loop():
         _, evicted = state.insert(e)
         for j in state.band_indices():
             k = state.bucket_of_band(j)
-            prefix = state.parity_prefix_partition(k % 2, k)
+            prefix = state.parity_prefix_labels(k % 2, k)
             for kept in state.band_edges(j):
-                assert not prefix.same(kept.u, kept.v)
+                assert prefix[kept.u] != prefix[kept.v]
         for gone in evicted:
             if gone.w == 0:
                 continue
@@ -309,7 +308,7 @@ def test_one_bucket_inserts_never_scan_the_bucket_or_label_every_vertex(monkeypa
     def refuse(*args):
         raise AssertionError("an insert read the whole bucket or every label")
 
-    monkeypatch.setattr(UnionFind, "labels", refuse)
+    monkeypatch.setattr(SpannerState, "parity_prefix_labels", refuse)
     monkeypatch.setattr(SpannerState, "_bucket_edges", refuse)
     rng = random.Random(1500)
     for i in range(1500):
@@ -323,29 +322,6 @@ def test_one_bucket_inserts_never_scan_the_bucket_or_label_every_vertex(monkeypa
 
 def _cert_order(e: WeightedEdge) -> tuple[int, int, int, int]:
     return (e.w, e.arrival, min(e.u, e.v), max(e.u, e.v))
-
-
-def _component_labels(n: int, pairs) -> list[int]:
-    """Per vertex, the smallest vertex of its component in the graph of pairs."""
-    adj: dict[int, list[int]] = {}
-    for u, v in pairs:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    label = list(range(n))
-    seen = set()
-    for s in range(n):
-        if s in seen:
-            continue
-        seen.add(s)
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            label[x] = s
-            for y in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return label
 
 
 def _joined_within(adj: dict[int, set[int]], s: int, g: int, hops: int) -> bool:
@@ -392,18 +368,15 @@ class _FullPassSpanner:
         out = self.zero + [e for band in self.kept.values() for e in band]
         return sorted(out, key=lambda e: e.arrival)
 
-    def _prefix_labels(self, parity: int, k: int) -> list[int]:
+    def parity_prefix_labels(self, parity: int, k: int) -> list[int]:
         pairs = [(e.u, e.v) for e in self.zero]
         for j, band in self.kept.items():
             if j // self.width < k and j // self.width % 2 == parity:
                 pairs += [(e.u, e.v) for e in band]
-        return _component_labels(self.n, pairs)
-
-    def parity_prefix_partition(self, parity: int, k: int) -> Partition:
-        return Partition(self._prefix_labels(parity, k))
+        return support.component_labels(self.n, pairs)
 
     def _full_pass(self, k: int) -> list[WeightedEdge]:
-        label = self._prefix_labels(k % 2, k)
+        label = self.parity_prefix_labels(k % 2, k)
         bands = range(k * self.width, (k + 1) * self.width)
         bucket = [e for j in bands for e in self.kept.get(j, ())]
         pairs: set[frozenset[int]] = set()
@@ -438,7 +411,7 @@ class _FullPassSpanner:
         if e.u == e.v:
             return False, [e]
         if e.w == 0:
-            forest = _component_labels(self.n, [(x.u, x.v) for x in self.zero])
+            forest = support.component_labels(self.n, [(x.u, x.v) for x in self.zero])
             if forest[e.u] == forest[e.v]:
                 return False, [e]
             self.zero.append(e)
@@ -466,9 +439,7 @@ def _assert_same_as_full_pass(n, t, eps, triples):
         assert fast.peak_stored == full.peak_stored
     top = max((fast.bucket_of_band(j) for j in fast.band_indices()), default=0)
     for k in range(top + 2):
-        assert fast.parity_prefix_partition(k % 2, k) == full.parity_prefix_partition(
-            k % 2, k
-        )
+        assert fast.parity_prefix_labels(k % 2, k) == full.parity_prefix_labels(k % 2, k)
 
 
 def test_incremental_recert_matches_full_pass_on_seeded_streams():

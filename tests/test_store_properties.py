@@ -8,6 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import support
 from streamaug.cycle_aug_stream import WeightedAugState
 from streamaug.graph_core import WeightedEdge
 from streamaug.sndp_coreset import Cascade
@@ -30,7 +31,7 @@ def _stream(rng: random.Random, n: int, m: int) -> list[WeightedEdge]:
 
 def _cycle_store(rng: random.Random) -> tuple[WeightedAugState, list[WeightedEdge]]:
     n = rng.randint(2, 9)
-    # eps >= 1/n keeps the banded store, which has partitions
+    # eps >= 1/n keeps the banded store, which has component labels
     eps = rng.choice([Fraction(1), Fraction(1, 2), Fraction(1, 3)][: min(n - 1, 3)])
     return WeightedAugState(n, eps), _stream(rng, n, rng.randint(1, 25))
 
@@ -42,12 +43,12 @@ def test_cycle_store_partitions_only_coarsen(seed):
     state, links = _cycle_store(rng)
     top = max(state.coarse_class_of(e.w) for e in links) + 2
     ks = range(-1, top)
-    before = {k: state.partition(k) for k in ks}
+    before = {k: state.components(k) for k in ks}
     for link in links:
         state.insert(link)
-        after = {k: state.partition(k) for k in ks}
+        after = {k: state.components(k) for k in ks}
         for k in ks:
-            assert before[k].refines(after[k]), (k, link)
+            assert support.refines(before[k], after[k]), (k, link)
         before = after
 
 
